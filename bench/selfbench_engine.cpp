@@ -27,8 +27,9 @@
 //               (scripts/perf_gate.py --min-datapath-speedup). A second
 //               criterion rides along: datapath_allocs/steady counts
 //               global-allocator hits during a steady-state single-SGE
-//               write loop via the operator new hook below — the gate
-//               requires exactly zero.
+//               write loop and a translation-thrashing random-write loop
+//               via the operator new hook below — the gate requires
+//               exactly zero.
 //   e2e_shuffle — fig15-style small all-to-all shuffle timed end to end.
 //   parallel  — a 16-machine all-to-all shuffle over a two-tier
 //               leaf/spine fabric (4 leaves x 4 machines), run serially
@@ -62,6 +63,7 @@
 #include "apps/shuffle/shuffle.hpp"
 #include "bench_common.hpp"
 #include "sim/engine.hpp"
+#include "sim/rng.hpp"
 #include "verbs/payload.hpp"
 
 // ---------------------------------------------------------------------------
@@ -378,23 +380,38 @@ double datapath_mwrs_per_sec(bool fast) {
 // Steady-state allocation probe: after a warm-up that grows every lazy
 // structure on the path (coroutine frame pools, the QP waiter table,
 // resource FIFOs, calendar ring slots, payload pool classes), a single-SGE
-// write loop must not touch the global allocator at all. Returns the
-// number of allocator hits over 512 steady-state WRs — the gate requires
-// exactly zero. (Sanitizer builds pass buffers straight through the pools
-// by design, so this row is only meaningful — and only gated — on plain
-// builds, where the perf gate runs.)
+// write loop must not touch the global allocator at all. A second phase
+// thrashes address translation: random 32 B writes over a 64 MB region,
+// 16x the RNIC metadata cache's 4 MB reach, so nearly every WR misses,
+// evicts and re-inserts PTEs and misses a DRAM row; once the cache has
+// filled during warm-up that path must not allocate either. Returns the
+// number of allocator hits over 512 steady-state WRs of each phase — the
+// gate requires exactly zero. (Sanitizer builds pass buffers straight
+// through the pools by design, so this row is only meaningful — and only
+// gated — on plain builds, where the perf gate runs.)
 std::uint64_t datapath_steady_allocs() {
-  MicroRig rig(1 << 16, 1 << 16, 1);
+  MicroRig rig(1 << 16, 64 << 20, 1);
   std::uint64_t delta = ~0ull;
   auto loop = [](MicroRig& r, std::uint64_t* out) -> sim::Task {
+    verbs::QueuePair& qp = *r.qps[0];
     for (int i = 0; i < 256; ++i)
-      (void)co_await r.qps[0]->execute(
-          wl::make_write(*r.lmr, 0, *r.rmr, 0, 4096));
-    const std::uint64_t a0 = g_heap_allocs.load(std::memory_order_relaxed);
+      (void)co_await qp.execute(wl::make_write(*r.lmr, 0, *r.rmr, 0, 4096));
+    std::uint64_t a0 = g_heap_allocs.load(std::memory_order_relaxed);
     for (int i = 0; i < 512; ++i)
-      (void)co_await r.qps[0]->execute(
-          wl::make_write(*r.lmr, 0, *r.rmr, 0, 4096));
-    *out = g_heap_allocs.load(std::memory_order_relaxed) - a0;
+      (void)co_await qp.execute(wl::make_write(*r.lmr, 0, *r.rmr, 0, 4096));
+    const std::uint64_t seq =
+        g_heap_allocs.load(std::memory_order_relaxed) - a0;
+
+    sim::Rng rng(7);
+    const std::uint64_t slots = r.rmr->length / 32;
+    for (int i = 0; i < 4096; ++i)
+      (void)co_await qp.execute(
+          wl::make_write(*r.lmr, 0, *r.rmr, rng.uniform(slots) * 32, 32));
+    a0 = g_heap_allocs.load(std::memory_order_relaxed);
+    for (int i = 0; i < 512; ++i)
+      (void)co_await qp.execute(
+          wl::make_write(*r.lmr, 0, *r.rmr, rng.uniform(slots) * 32, 32));
+    *out = seq + (g_heap_allocs.load(std::memory_order_relaxed) - a0);
   };
   rig.rig.eng.spawn(loop(rig, &delta));
   rig.rig.eng.run();
@@ -451,7 +468,7 @@ void BM_selfbench(benchmark::State& state) {
     dp_allocs = datapath_steady_allocs();
     bench::point_mops("datapath_allocs", "steady",
                       static_cast<double>(dp_allocs));
-    collector.add({"datapath_allocs", "steady (512 WRs)",
+    collector.add({"datapath_allocs", "steady (512 seq + 512 thrash WRs)",
                    std::to_string(dp_allocs)});
 
     par1_mev = add("parallel", "serial", best_of(2, [] {

@@ -2,8 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/params.hpp"
@@ -51,12 +49,13 @@ class DramModel {
 
  private:
   const ModelParams& p_;
-  // Open-row tracker: an LRU set of `dram_banks` rows. Keying on row
-  // identity (not addr % banks) keeps runs independent of ASLR while
-  // preserving the hit/miss behaviour that drives seq/rand asymmetry.
-  std::list<std::uint64_t> open_lru_;
-  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-      open_map_;
+  // Open-row tracker: an LRU set of `dram_banks` rows, most recent first.
+  // Keying on row identity (not addr % banks) keeps runs independent of
+  // ASLR while preserving the hit/miss behaviour that drives seq/rand
+  // asymmetry. The set is a handful of rows (16 by default), so a linear
+  // scan and a shift suffice; reserved at construction, the array never
+  // reallocates.
+  std::vector<std::uint64_t> open_rows_;
   std::uint64_t last_line_ = ~std::uint64_t{0};
   std::uint64_t row_hits_ = 0;
   std::uint64_t row_misses_ = 0;

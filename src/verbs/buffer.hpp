@@ -2,9 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <span>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -26,29 +25,26 @@ inline constexpr std::uint64_t kSimVaBase = 1ull << 46;
 // into simulation results. Simulated addresses are never recycled, every
 // buffer is row (8 KB) aligned, and consecutive buffers are separated by
 // a guard row, so distinct buffers never share a page, row or cache line.
+//
+// Storage below 32 MiB comes from the heap and is cleared with memset.
+// From 32 MiB up it is an anonymous mapping, huge-page advised and
+// pre-faulted, whose pages the kernel has already zeroed; see buffer.cpp.
 class Buffer {
  public:
   Buffer() = default;
-  explicit Buffer(std::size_t size, std::size_t alignment = 8192)
-      : size_(size) {
-    if (size == 0) return;
-    // Round the allocation size up to the alignment (aligned_alloc
-    // requirement).
-    const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
-    data_ = static_cast<std::byte*>(std::aligned_alloc(alignment, rounded));
-    RDMASEM_CHECK_MSG(data_ != nullptr, "buffer allocation failed");
-    std::memset(data_, 0, rounded);
-    sim_addr_ = take_sim_va(rounded, alignment);
-  }
+  // Zero-filled storage of `size` bytes, host-aligned to `alignment`.
+  explicit Buffer(std::size_t size, std::size_t alignment = 8192);
   Buffer(Buffer&& o) noexcept
       : data_(std::exchange(o.data_, nullptr)),
         size_(std::exchange(o.size_, 0)),
+        mapped_(std::exchange(o.mapped_, 0)),
         sim_addr_(std::exchange(o.sim_addr_, 0)) {}
   Buffer& operator=(Buffer&& o) noexcept {
     if (this != &o) {
       release();
       data_ = std::exchange(o.data_, nullptr);
       size_ = std::exchange(o.size_, 0);
+      mapped_ = std::exchange(o.mapped_, 0);
       sim_addr_ = std::exchange(o.sim_addr_, 0);
     }
     return *this;
@@ -71,25 +67,11 @@ class Buffer {
   }
 
  private:
-  // Process-wide bump allocator for the simulated address space. Addresses
-  // depend only on the sequence of Buffer constructions, which the
-  // single-threaded deterministic simulation fully determines.
-  static std::uint64_t take_sim_va(std::size_t rounded,
-                                   std::size_t alignment) {
-    static std::uint64_t cursor = kSimVaBase;
-    if (alignment < 8192) alignment = 8192;
-    cursor = (cursor + alignment - 1) / alignment * alignment;
-    const std::uint64_t va = cursor;
-    cursor += rounded + 8192;  // guard row between buffers
-    return va;
-  }
+  void release() noexcept;
 
-  void release() {
-    std::free(data_);
-    data_ = nullptr;
-  }
   std::byte* data_ = nullptr;
   std::size_t size_ = 0;
+  std::size_t mapped_ = 0;  // length of an anonymous mapping; 0 = heap
   std::uint64_t sim_addr_ = 0;
 };
 

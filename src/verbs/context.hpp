@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -82,8 +81,13 @@ class Context {
   MemoryRegion* register_memory(std::uint64_t addr, void* p, std::size_t len,
                                 hw::SocketId socket);
   void deregister(std::uint32_t key);
-  MemoryRegion* lookup(std::uint32_t key);
-  std::size_t mr_count() const { return mrs_.size(); }
+  MemoryRegion* lookup(std::uint32_t key) {
+    // key 0 wraps to UINT32_MAX and falls outside the table.
+    const std::size_t slot = key - 1u;
+    return slot < mrs_.size() ? mrs_[slot].get() : nullptr;
+  }
+  // Live (registered, not yet deregistered) MRs.
+  std::size_t mr_count() const { return live_mrs_; }
 
   CompletionQueue* create_cq();
   QueuePair* create_qp(const QpConfig& cfg);
@@ -102,9 +106,12 @@ class Context {
  private:
   cluster::Cluster& cluster_;
   cluster::Machine& machine_;
-  std::uint32_t next_key_ = 0;
   std::uint64_t wr_id_ = 0;
-  std::unordered_map<std::uint32_t, std::unique_ptr<MemoryRegion>> mrs_;
+  // Keys are handed out densely from 1, so the rkey table is indexed by
+  // key - 1; a deregistered key keeps its slot as nullptr and is never
+  // reissued.
+  std::vector<std::unique_ptr<MemoryRegion>> mrs_;
+  std::size_t live_mrs_ = 0;
   std::vector<std::unique_ptr<CompletionQueue>> cqs_;
   std::vector<std::unique_ptr<QueuePair>> qps_;
   std::vector<std::unique_ptr<SharedReceiveQueue>> srqs_;

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <unordered_map>
+#include <vector>
+
 #include "hw/coherence.hpp"
 #include "hw/dram.hpp"
 #include "hw/mcache.hpp"
@@ -111,6 +116,114 @@ TEST(MetadataCache, ClearEmpties) {
   EXPECT_FALSE(c.access(Kind::kPte, 1));
 }
 
+namespace {
+
+// Reference model: the std::list + unordered_map LRU the flat
+// MetadataCache replaced. The differential tests below hold the flat
+// cache to its replacement order, weighted occupancy and hit/miss counts.
+class RefMetadataCache {
+ public:
+  RefMetadataCache(std::size_t capacity, std::size_t pte_w, std::size_t mr_w,
+                   std::size_t qp_w)
+      : capacity_(capacity), weight_{pte_w, mr_w, qp_w} {}
+
+  bool access(Kind kind, std::uint64_t id) {
+    const std::uint64_t k = key(kind, id);
+    auto it = map_.find(k);
+    if (it != map_.end()) {
+      ++hits_;
+      lru_.splice(lru_.begin(), lru_, it->second.it);
+      return true;
+    }
+    ++misses_;
+    const std::size_t w = weight_[static_cast<std::size_t>(kind)];
+    if (w > capacity_) return false;
+    while (occupancy_ + w > capacity_) {
+      auto vit = map_.find(lru_.back());
+      occupancy_ -= vit->second.weight;
+      map_.erase(vit);
+      lru_.pop_back();
+    }
+    lru_.push_front(k);
+    map_.emplace(k, Slot{lru_.begin(), w});
+    occupancy_ += w;
+    return false;
+  }
+  void invalidate(Kind kind, std::uint64_t id) {
+    auto it = map_.find(key(kind, id));
+    if (it == map_.end()) return;
+    occupancy_ -= it->second.weight;
+    lru_.erase(it->second.it);
+    map_.erase(it);
+  }
+  void clear() {
+    lru_.clear();
+    map_.clear();
+    occupancy_ = 0;
+  }
+  void reset_stats() { hits_ = misses_ = 0; }
+  std::size_t occupancy() const { return occupancy_; }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+
+ private:
+  static std::uint64_t key(Kind kind, std::uint64_t id) {
+    return (static_cast<std::uint64_t>(kind) << 62) | (id & ((1ULL << 62) - 1));
+  }
+  struct Slot {
+    std::list<std::uint64_t>::iterator it;
+    std::size_t weight;
+  };
+  std::size_t capacity_;
+  std::size_t weight_[3];
+  std::size_t occupancy_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::list<std::uint64_t> lru_;
+  std::unordered_map<std::uint64_t, Slot> map_;
+};
+
+Kind kind_of(std::uint64_t r) { return static_cast<Kind>(r % 3); }
+
+}  // namespace
+
+TEST(MetadataCache, MatchesListLruReferenceOnRandomStreams) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    sim::Rng rng(seed);
+    // Capacities from a handful of units (heavy churn, oversize kinds) up
+    // to hundreds (index growth); weights 0..5, so some kinds are heavier
+    // than a small cache and are never inserted.
+    static constexpr std::size_t kCaps[] = {1, 2, 3, 5, 8, 16, 64, 300, 1024};
+    const std::size_t cap = kCaps[rng.uniform(std::size(kCaps))];
+    const std::size_t w[3] = {1 + rng.uniform(2), rng.uniform(6),
+                              rng.uniform(6)};
+    const std::uint64_t ids = 2 + cap * (1 + rng.uniform(3));
+    hw::MetadataCache flat(cap, w[0], w[1], w[2]);
+    RefMetadataCache ref(cap, w[0], w[1], w[2]);
+    for (int op = 0; op < 20000; ++op) {
+      const std::uint64_t r = rng.uniform(1000);
+      const Kind kind = kind_of(rng.next());
+      const std::uint64_t id = rng.uniform(ids);
+      if (r < 900) {
+        ASSERT_EQ(flat.access(kind, id), ref.access(kind, id)) << "op " << op;
+      } else if (r < 995) {
+        flat.invalidate(kind, id);
+        ref.invalidate(kind, id);
+      } else if (r < 998) {
+        flat.reset_stats();
+        ref.reset_stats();
+      } else {
+        flat.clear();
+        ref.clear();
+      }
+      ASSERT_EQ(flat.occupancy(), ref.occupancy()) << "op " << op;
+      ASSERT_EQ(flat.hits(), ref.hits()) << "op " << op;
+      ASSERT_EQ(flat.misses(), ref.misses()) << "op " << op;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // DramModel
 
@@ -186,6 +299,118 @@ TEST(Dram, ResetClearsState) {
   d.reset();
   EXPECT_EQ(d.row_hits(), 0u);
   EXPECT_EQ(d.row_misses(), 0u);
+}
+
+namespace {
+
+// Reference model: DramModel::access with the std::list + unordered_map
+// open-row LRU the recency array replaced.
+class RefDram {
+ public:
+  explicit RefDram(const hw::ModelParams& p) : p_(p) {}
+
+  sim::Duration access(std::uint64_t addr, std::size_t size,
+                       hw::DramModel::Op op, bool same) {
+    const std::uint64_t first_line = addr / p_.dram_line_bytes;
+    const std::uint64_t last =
+        (addr + (size ? size - 1 : 0)) / p_.dram_line_bytes;
+    sim::Duration total = 0;
+    std::uint32_t pending_misses = 0;
+    for (std::uint64_t line = first_line; line <= last; ++line) {
+      if (line == last_line_) {
+        total += p_.dram_line_hit;
+        continue;
+      }
+      const std::uint64_t row = line * p_.dram_line_bytes / p_.dram_row_bytes;
+      auto it = open_map_.find(row);
+      if (it != open_map_.end()) {
+        ++row_hits_;
+        open_lru_.splice(open_lru_.begin(), open_lru_, it->second);
+        total += p_.dram_row_hit;
+      } else {
+        ++row_misses_;
+        if (open_map_.size() >= p_.dram_banks) {
+          open_map_.erase(open_lru_.back());
+          open_lru_.pop_back();
+        }
+        open_lru_.push_front(row);
+        open_map_[row] = open_lru_.begin();
+        if (++pending_misses % p_.dram_mlp == 1 || p_.dram_mlp == 1)
+          total += p_.dram_row_miss;
+        else
+          total += p_.dram_row_hit;
+      }
+    }
+    last_line_ = last;
+    if (op == hw::DramModel::Op::kWrite) total = total * 3 / 4;
+    if (!same) {
+      total += p_.mem_remote_socket_latency - p_.mem_local_latency;
+      total = static_cast<sim::Duration>(
+          static_cast<double>(total) *
+          (p_.mem_local_gbps / p_.mem_remote_socket_gbps));
+    }
+    const double gbps = same ? p_.mem_local_gbps : p_.mem_remote_socket_gbps;
+    return std::max(total, hw::ModelParams::ser_time(size, gbps));
+  }
+  void reset() {
+    open_lru_.clear();
+    open_map_.clear();
+    last_line_ = ~std::uint64_t{0};
+    row_hits_ = row_misses_ = 0;
+  }
+  std::uint64_t row_hits() const { return row_hits_; }
+  std::uint64_t row_misses() const { return row_misses_; }
+
+ private:
+  const hw::ModelParams& p_;
+  std::list<std::uint64_t> open_lru_;
+  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
+      open_map_;
+  std::uint64_t last_line_ = ~std::uint64_t{0};
+  std::uint64_t row_hits_ = 0;
+  std::uint64_t row_misses_ = 0;
+};
+
+}  // namespace
+
+TEST(Dram, MatchesListLruReferenceOnRandomStreams) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    sim::Rng rng(seed);
+    hw::ModelParams p;
+    static constexpr std::size_t kBanks[] = {1, 2, 4, 16, 16, 32};
+    p.dram_banks = kBanks[rng.uniform(std::size(kBanks))];
+    p.dram_mlp = 1 + static_cast<std::uint32_t>(rng.uniform(4));
+    hw::DramModel flat(p);
+    RefDram ref(p);
+    // Working sets of a few rows (row hits), a few dozen (bank-set
+    // churn) and a whole GB (row misses), walked sequentially and at
+    // random, with sub-line to multi-row sizes.
+    const std::uint64_t regions[] = {4 * p.dram_row_bytes,
+                                     40 * p.dram_row_bytes, 1ull << 30};
+    std::uint64_t cursor = 0;
+    for (int op = 0; op < 20000; ++op) {
+      const std::uint64_t region = regions[rng.uniform(3)];
+      const std::uint64_t r = rng.uniform(100);
+      if (r == 0) {
+        flat.reset();
+        ref.reset();
+        continue;
+      }
+      const std::size_t size =
+          r < 60 ? 1 + rng.uniform(64)
+                 : (r < 95 ? 1 + rng.uniform(4096) : 1 + rng.uniform(40000));
+      cursor = r % 2 ? cursor + size : rng.uniform(region);
+      const auto kind =
+          rng.uniform(2) ? hw::DramModel::Op::kWrite : hw::DramModel::Op::kRead;
+      const bool same = rng.uniform(4) != 0;
+      ASSERT_EQ(flat.access(cursor, size, kind, same),
+                ref.access(cursor, size, kind, same))
+          << "op " << op;
+      ASSERT_EQ(flat.row_hits(), ref.row_hits()) << "op " << op;
+      ASSERT_EQ(flat.row_misses(), ref.row_misses()) << "op " << op;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -182,6 +182,30 @@ TEST(ChannelEdge, PushWhileDrainingKeepsOrder) {
   EXPECT_EQ(ch.waiting(), 0u);
 }
 
+TEST(ChannelEdge, ConsumerMayDestroyChannelRightAfterPop) {
+  // The consumer owns its mailbox and tears it down as soon as its pop
+  // resumes, while an item is still queued. The wake event that resumed
+  // it must not touch the channel afterwards (ASan: heap-use-after-free).
+  sim::Engine eng;
+  sim::Channel<int>* mailbox = nullptr;
+  int got = -1;
+  eng.spawn([](sim::Engine& e, sim::Channel<int>*& pub,
+               int& out) -> sim::Task {
+    auto ch = std::make_unique<sim::Channel<int>>(e);
+    pub = ch.get();
+    out = co_await ch->pop();
+    ch.reset();
+    pub = nullptr;
+  }(eng, mailbox, got));
+  eng.run();  // the consumer parks in pop()
+  ASSERT_NE(mailbox, nullptr);
+  mailbox->push(5);
+  mailbox->push(6);
+  eng.run();
+  EXPECT_EQ(got, 5);
+  EXPECT_EQ(mailbox, nullptr);
+}
+
 // ---------------------------------------------------------------------------
 // Resource edges
 

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <string>
 
 #include "testbed.hpp"
+#include "util/sanitizer.hpp"
 
 namespace v = rdmasem::verbs;
 namespace sim = rdmasem::sim;
@@ -333,12 +338,72 @@ TEST(VerbsLifecycle, OutstandingDrainsToZero) {
 
 TEST(VerbsMr, DeregisterInvalidatesKey) {
   Testbed tb;
-  v::Buffer b(4096);
+  v::Buffer b(4096), c(4096);
   auto* mr = tb.ctx[0]->register_buffer(b, 0);
+  auto* other = tb.ctx[0]->register_buffer(c, 0);
   const auto key = mr->key;
   EXPECT_NE(tb.ctx[0]->lookup(key), nullptr);
+  EXPECT_EQ(tb.ctx[0]->mr_count(), 2u);
   tb.ctx[0]->deregister(key);
   EXPECT_EQ(tb.ctx[0]->lookup(key), nullptr);
+  EXPECT_EQ(tb.ctx[0]->lookup(other->key), other);
+  EXPECT_EQ(tb.ctx[0]->mr_count(), 1u);
+  tb.ctx[0]->deregister(key);  // already gone: no-op
+  EXPECT_EQ(tb.ctx[0]->mr_count(), 1u);
+  // Keys are never reissued; 0 and unissued keys resolve to nothing.
+  auto* again = tb.ctx[0]->register_buffer(b, 0);
+  EXPECT_NE(again->key, key);
+  EXPECT_EQ(tb.ctx[0]->lookup(again->key), again);
+  EXPECT_EQ(tb.ctx[0]->lookup(0), nullptr);
+  EXPECT_EQ(tb.ctx[0]->lookup(again->key + 1), nullptr);
+  EXPECT_EQ(tb.ctx[0]->mr_count(), 2u);
+}
+
+// Buffers from 32 MiB up are anonymous mappings rather than heap blocks
+// (except under ASan, which keeps every buffer on its own heap).
+constexpr std::size_t kMappedBytes = std::size_t{33} << 20;
+
+TEST(VerbsBuffer, LargeBufferReadsZeroAndIsRowAligned) {
+  v::Buffer b(kMappedBytes + 100);
+  ASSERT_NE(b.data(), nullptr);
+  EXPECT_EQ(b.size(), kMappedBytes + 100);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % 8192, 0u);
+  EXPECT_EQ(b.addr() % 8192, 0u);
+  const auto bytes = b.span();
+  EXPECT_TRUE(std::all_of(bytes.begin(), bytes.end(),
+                          [](std::byte x) { return x == std::byte{0}; }));
+  bytes.back() = std::byte{0x5A};
+  EXPECT_EQ(b.data()[kMappedBytes + 99], std::byte{0x5A});
+}
+
+TEST(VerbsBuffer, SimAddressSequenceIsTheSameForBothStoragePaths) {
+  // Each buffer's simulated address is the previous one's plus its
+  // row-rounded size plus one guard row, whichever storage backs it.
+  v::Buffer a(4096), big(kMappedBytes + 1), c(100), d(kMappedBytes);
+  const std::uint64_t big_rounded = (kMappedBytes + 1 + 8191) / 8192 * 8192;
+  EXPECT_EQ(big.addr(), a.addr() + 8192 + 8192);
+  EXPECT_EQ(c.addr(), big.addr() + big_rounded + 8192);
+  EXPECT_EQ(d.addr(), c.addr() + 8192 + 8192);
+}
+
+TEST(VerbsBuffer, MoveTransfersAndMoveAssignReleasesTheMapping) {
+  v::Buffer a(kMappedBytes);
+  std::byte* storage = a.data();
+  const std::uint64_t addr = a.addr();
+  v::Buffer b(std::move(a));
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_EQ(b.data(), storage);
+  EXPECT_EQ(b.addr(), addr);
+  b = v::Buffer(4096);
+  EXPECT_EQ(b.size(), 4096u);
+  EXPECT_NE(b.data(), storage);
+#if !RDMASEM_ASAN
+  // The old mapping is gone: mincore() rejects an unmapped range.
+  unsigned char resident = 0;
+  EXPECT_EQ(::mincore(storage, 4096, &resident), -1);
+  EXPECT_EQ(errno, ENOMEM);
+#endif
 }
 
 TEST(VerbsMr, ContainsChecksOverflowSafe) {
