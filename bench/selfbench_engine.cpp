@@ -31,17 +31,6 @@
 //               via the operator new hook below — the gate requires
 //               exactly zero.
 //   e2e_shuffle — fig15-style small all-to-all shuffle timed end to end.
-//   parallel  — a 16-machine all-to-all shuffle over a two-tier
-//               leaf/spine fabric (4 leaves x 4 machines), run serially
-//               and again at RDMASEM_SHARDS=2/4. The shard4/serial
-//               wall-clock ratio is the perf-gate criterion for the
-//               conservative-epoch parallel engine (enforced only on
-//               hosts with >= 4 cores; the parallel_cpus row records the
-//               host's core count so the gate can tell). The leaf
-//               topology exercises the per-(src,dst)-shard lookahead
-//               matrix: leaf-aligned placement makes cross-shard traffic
-//               pay the spine hop, widening epochs ~2.5x over the flat
-//               global minimum.
 //
 // Rows land in BENCH_selfbench_engine.json (rdmasem-bench-v1 schema; the
 // `mops` field carries millions of events per second, or the raw ratio for
@@ -57,7 +46,6 @@
 #include <new>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/shuffle/shuffle.hpp"
@@ -284,48 +272,6 @@ double coro_mevents_per_sec(std::uint64_t tasks, std::uint64_t hops) {
   return static_cast<double>(eng.events_processed()) / sec / 1e6;
 }
 
-// One 16-machine all-to-all shuffle at the given shard count, timed end to
-// end. RDMASEM_SHARDS is read at Cluster construction, so it is pinned
-// around the Rig and restored after. The fabric is a two-tier leaf/spine
-// (4 leaves x 4 machines): the leaf-aware shard placement aligns shards
-// with leaves, so every cross-shard pair pays the spine hop and the
-// per-pair lookahead matrix widens epochs well past the flat-fabric
-// minimum — the regime the conservative-epoch engine is built for.
-double parallel_shuffle_mev(std::uint32_t shards) {
-  const char* old = std::getenv("RDMASEM_SHARDS");
-  const std::string saved = old ? old : "";
-  setenv("RDMASEM_SHARDS", std::to_string(shards).c_str(), 1);
-  const auto w0 = std::chrono::steady_clock::now();
-  double mev = 0;
-  {
-    hw::ModelParams p = hw::ModelParams::connectx3_cluster();
-    p.machines = 16;
-    p.net_machines_per_leaf = 4;
-    wl::Rig rig(p);
-    // Force the Plane-2 engine profile on for the parallel sweep even
-    // when RDMASEM_PROF is unset: perf_gate.py budgets the shard-4
-    // barrier-park share from this report's engine-profile groups, so
-    // they must always be present. Both sides of the gated serial/shard-4
-    // ratio run profiled, so the timer overhead cancels out of it.
-    rig.eng.set_profiling(true);
-    apps::shuffle::Config cfg;
-    cfg.machines = 16;
-    cfg.executors = 16;
-    cfg.entries_per_executor = util::env_u64("RDMASEM_SHUFFLE_ENTRIES", 6000);
-    cfg.batch = apps::shuffle::BatchMode::kSgl;
-    apps::shuffle::Shuffle shuffle(rig.contexts(), cfg);
-    shuffle.run();
-    bench::absorb(rig.cluster);
-    mev = static_cast<double>(rig.eng.events_processed()) / secs_since(w0) /
-          1e6;
-  }
-  if (old)
-    setenv("RDMASEM_SHARDS", saved.c_str(), 1);
-  else
-    unsetenv("RDMASEM_SHARDS");
-  return mev;
-}
-
 // ---------------------------------------------------------------------------
 // Datapath workload: a large-payload write/read storm mixing single-SGE
 // writes (the zero-copy route), 4-SGE gathers (pooled staging) and reads
@@ -427,7 +373,6 @@ double add(const char* workload, const char* engine, double mev) {
 void BM_selfbench(benchmark::State& state) {
   double legacy_mev = 0, calendar_mev = 0, coro_mev = 0;
   double micro_mev = 0, shuffle_mev = 0;
-  double par1_mev = 0, par2_mev = 0, par4_mev = 0;
   double dp_fast = 0, dp_legacy = 0;
   std::uint64_t dp_allocs = 0;
   for (auto _ : state) {
@@ -471,24 +416,6 @@ void BM_selfbench(benchmark::State& state) {
     collector.add({"datapath_allocs", "steady (512 seq + 512 thrash WRs)",
                    std::to_string(dp_allocs)});
 
-    par1_mev = add("parallel", "serial", best_of(2, [] {
-      return parallel_shuffle_mev(1);
-    }));
-    par2_mev = add("parallel", "shard2", best_of(2, [] {
-      return parallel_shuffle_mev(2);
-    }));
-    par4_mev = add("parallel", "shard4", best_of(2, [] {
-      return parallel_shuffle_mev(4);
-    }));
-    bench::point_mops("speedup", "par4", par4_mev / par1_mev);
-    collector.add({"speedup", "shard4/serial",
-                   util::fmt(par4_mev / par1_mev)});
-    // The gate only enforces the parallel floor when the host actually
-    // has the cores to show a speedup.
-    bench::point_mops("parallel_cpus", "host",
-                      static_cast<double>(
-                          std::thread::hardware_concurrency()));
-
     shuffle_mev = add("e2e_shuffle", "calendar", best_of(2, [] {
       // fig15-style small all-to-all shuffle, timed end to end.
       const auto w0 = std::chrono::steady_clock::now();
@@ -514,10 +441,6 @@ void BM_selfbench(benchmark::State& state) {
   state.counters["coro_Mev"] = coro_mev;
   state.counters["e2e_micro_Mev"] = micro_mev;
   state.counters["e2e_shuffle_Mev"] = shuffle_mev;
-  state.counters["par_serial_Mev"] = par1_mev;
-  state.counters["par_shard2_Mev"] = par2_mev;
-  state.counters["par_shard4_Mev"] = par4_mev;
-  state.counters["par_speedup"] = par1_mev > 0 ? par4_mev / par1_mev : 0;
   state.counters["datapath_fast_MWRs"] = dp_fast;
   state.counters["datapath_legacy_MWRs"] = dp_legacy;
   state.counters["datapath_speedup"] = dp_legacy > 0 ? dp_fast / dp_legacy : 0;

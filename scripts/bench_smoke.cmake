@@ -1,20 +1,25 @@
-# Smoke-runs one bench binary at drastically shrunk workload sizes and
+# Smoke-runs one bench binary at drastically shrunk workload sizes,
 # validates the BENCH_<name>.json it emits against the rdmasem-bench-v1
-# schema. Registered as one ctest entry per bench (label `bench_smoke`) by
-# bench/CMakeLists.txt:
+# schema and checks its sha256 against the digest pinned in DIGESTS
+# (bench/smoke_digests.json). Registered as one ctest entry per bench
+# (label `bench_smoke`) by bench/CMakeLists.txt:
 #
 #   cmake -DBENCH=<binary> -DOUT=<dir> -DCHECK=<check_bench_json.py>
-#         -P scripts/bench_smoke.cmake
+#         -DDIGESTS=<smoke_digests.json> -P scripts/bench_smoke.cmake
 #
 # The env knobs below override every RDMASEM_* workload size (README) so
 # the whole battery stays in CI-smoke territory; the figures these runs
-# produce are NOT paper-comparable — they only prove each binary runs to
-# completion and reports well-formed structured output.
+# produce are NOT paper-comparable. They prove each binary runs to
+# completion, reports well-formed structured output, and produces the
+# same bytes as when its digest was pinned. Tracing and profiling add
+# report sections, and the fig06 region knob changes the sweep, so they
+# are unset for the run.
 
-foreach(var BENCH OUT CHECK)
+foreach(var BENCH OUT CHECK DIGESTS)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR
-            "usage: cmake -DBENCH=... -DOUT=... -DCHECK=... -P bench_smoke.cmake")
+            "usage: cmake -DBENCH=... -DOUT=... -DCHECK=... -DDIGESTS=... "
+            "-P bench_smoke.cmake")
   endif()
 endforeach()
 
@@ -24,6 +29,8 @@ file(REMOVE "${OUT}/BENCH_${name}.json")
 
 execute_process(
   COMMAND "${CMAKE_COMMAND}" -E env
+          --unset=RDMASEM_TRACE --unset=RDMASEM_PROF
+          --unset=RDMASEM_FIG6_REGION
           "RDMASEM_BENCH_OUT=${OUT}"
           RDMASEM_MICRO_OPS=300
           RDMASEM_HT_KEYS=512
@@ -51,7 +58,8 @@ endif()
 
 find_program(PYTHON3 NAMES python3 python REQUIRED)
 execute_process(
-  COMMAND "${PYTHON3}" "${CHECK}" "${OUT}/BENCH_${name}.json"
+  COMMAND "${PYTHON3}" "${CHECK}" --digest "${DIGESTS}"
+          "${OUT}/BENCH_${name}.json"
   RESULT_VARIABLE check_rc)
 if(NOT check_rc EQUAL 0)
   message(FATAL_ERROR "check_bench_json.py rejected BENCH_${name}.json")

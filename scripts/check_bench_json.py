@@ -6,10 +6,16 @@ obs::BenchReport via bench_common.hpp) and, when a report references a
 Chrome trace file, the trace JSON too. Stdlib only — runs anywhere CI
 does.
 
-Usage: check_bench_json.py BENCH_foo.json [BENCH_bar.json ...]
+Usage: check_bench_json.py [--digest DIGESTS.json] BENCH_foo.json [...]
 Exits non-zero on the first malformed file.
+
+With --digest, every report must also match the sha256 pinned for its
+bench in DIGESTS.json (bench/smoke_digests.json: {"digests": {name:
+sha256}, "unpinned": {name: reason}}). A bench in neither map fails, so a
+new bench cannot skip the byte-identity gate by omission.
 """
 
+import hashlib
 import json
 import os
 import sys
@@ -77,34 +83,15 @@ CP_STAGE_KEYS = {
     "whatif_2x": (int, float),
 }
 
-ENGINE_SCHEMA = "rdmasem-engine-profile-v1"
+ENGINE_SCHEMA = "rdmasem-engine-profile-v2"
 
-EP_ROW_KEYS = {
-    "shard": int,
-    "epochs": int,
+ENGINE_KEYS = {
+    "runs": int,
     "events": int,
     "inline_grants": int,
-    "merged_events": int,
-    "merge_ns": int,
-    "barrier_park_ns": int,
     "dispatch_ns": int,
-    "wall_ns": int,
     "max_queue_depth": int,
-    "lookahead_ps": int,
-    "accounted_share": (int, float),
-    # Derived rates (PR 9): barrier frequency, work per crossing, and the
-    # effective conservative-epoch width in virtual picoseconds.
-    "epochs_per_sec": (int, float),
-    "events_per_epoch": (int, float),
-    "effective_lookahead_ps": (int, float),
-    # Demand-driven horizon counters (PR 10): terms dropped for quiescent
-    # pairs, rounds fused past the static bound, budget-forced re-splits,
-    # and the total virtual widening bought. Host-race-dependent values;
-    # only presence/type/sanity is checked.
-    "quiescent_terms": int,
-    "fused_epochs": int,
-    "resplit_epochs": int,
-    "horizon_widening_ps": int,
+    "ns_per_event": (int, float),
 }
 
 
@@ -193,51 +180,16 @@ def check_critical_path(path, cp):
 def check_engine_profile(path, ep):
     if not isinstance(ep, dict) or ep.get("schema") != ENGINE_SCHEMA:
         fail(path, f"engine_profile schema is not {ENGINE_SCHEMA!r}")
-    groups = ep.get("groups")
-    if not isinstance(groups, list) or not groups:
-        fail(path, "engine_profile.groups missing or empty")
-    for g in groups:
-        check_typed_dict(path, "engine_profile group", g,
-                         {"shards": int, "runs": int, "rows": list})
-        if g["shards"] < 1 or g["runs"] < 1:
-            fail(path, "engine_profile group with no shards or runs")
-        if len(g["rows"]) != g["shards"]:
-            fail(path, f"engine_profile group shards={g['shards']} has "
-                       f"{len(g['rows'])} rows")
-        for r in g["rows"]:
-            check_typed_dict(path, "engine_profile row", r, EP_ROW_KEYS)
-            # Machine-dependent, so not gated at 0.95 here (the CI smoke
-            # and obs_report.py --min-accounted do that); just sane.
-            if not 0.0 <= r["accounted_share"] <= 1.0:
-                fail(path, f"accounted_share out of [0,1]: "
-                           f"{r['accounted_share']}")
-            # Derived fields must be non-negative and consistent with the
-            # raw counters they derive from (exact to rounding).
-            for key in ("epochs_per_sec", "events_per_epoch",
-                        "effective_lookahead_ps"):
-                if r[key] < 0:
-                    fail(path, f"{key} negative: {r[key]}")
-            if r["epochs"] > 0:
-                want = r["events"] / r["epochs"]
-                if abs(r["events_per_epoch"] - want) > max(1e-2, want * 1e-3):
-                    fail(path, f"events_per_epoch {r['events_per_epoch']} "
-                               f"inconsistent with events/epochs {want:.3f}")
-                want = r["lookahead_ps"] / r["epochs"]
-                if abs(r["effective_lookahead_ps"] - want) > \
-                        max(1e-2, want * 1e-3):
-                    fail(path, f"effective_lookahead_ps "
-                               f"{r['effective_lookahead_ps']} inconsistent "
-                               f"with lookahead_ps/epochs {want:.3f}")
-            elif r["events_per_epoch"] or r["effective_lookahead_ps"] or \
-                    r["epochs_per_sec"]:
-                fail(path, "derived epoch rates nonzero with zero epochs")
-            for key in ("quiescent_terms", "fused_epochs",
-                        "resplit_epochs", "horizon_widening_ps"):
-                if r[key] < 0:
-                    fail(path, f"{key} negative: {r[key]}")
-            if r["horizon_widening_ps"] and not r["fused_epochs"]:
-                fail(path, "horizon_widening_ps nonzero with zero "
-                           "fused_epochs")
+    check_typed_dict(path, "engine_profile", ep, ENGINE_KEYS)
+    if ep["runs"] < 1:
+        fail(path, "engine_profile with no runs")
+    if ep["inline_grants"] > ep["events"]:
+        fail(path, "engine_profile inline_grants exceed events")
+    # Derived field must be consistent with the raw counters (to rounding).
+    want = ep["dispatch_ns"] / ep["events"] if ep["events"] else 0.0
+    if abs(ep["ns_per_event"] - want) > max(1e-2, want * 1e-3):
+        fail(path, f"ns_per_event {ep['ns_per_event']} inconsistent with "
+                   f"dispatch_ns/events {want:.3f}")
 
 
 SYNC_ABORT_KEYS = {
@@ -364,7 +316,7 @@ def check_report(path):
     ep = report.get("engine_profile")
     if ep is not None:
         check_engine_profile(path, ep)
-        extras.append(f"{len(ep['groups'])} profile group(s)")
+        extras.append(f"engine profile of {ep['runs']} run(s)")
     sync = report.get("sync")
     if sync is not None:
         check_sync(path, sync)
@@ -375,12 +327,41 @@ def check_report(path):
     print(f"ok: {path} ({len(points)} points, {len(stages)} stages{suffix})")
 
 
+def check_digest(path, pins):
+    """Byte-identity gate: the report's sha256 must equal its pinned
+    digest, or the bench must be listed as unpinned with a reason."""
+    with open(path, "rb") as f:
+        data = f.read()
+    name = json.loads(data).get("bench")
+    if name in pins.get("unpinned", {}):
+        print(f"ok: {path} (unpinned: {pins['unpinned'][name]})")
+        return
+    want = pins.get("digests", {}).get(name)
+    if want is None:
+        fail(path, f"no pinned digest for bench {name!r}")
+    got = hashlib.sha256(data).hexdigest()
+    if got != want:
+        fail(path, f"sha256 {got} differs from the pinned {want}: "
+                   "simulated output changed")
+    print(f"ok: {path} (sha256 matches)")
+
+
 def main(argv):
-    if len(argv) < 2:
+    args = argv[1:]
+    pins = None
+    if args[:1] == ["--digest"]:
+        if len(args) < 2:
+            raise SystemExit(__doc__)
+        with open(args[1], encoding="utf-8") as f:
+            pins = json.load(f)
+        args = args[2:]
+    if not args:
         raise SystemExit(__doc__)
-    for path in argv[1:]:
+    for path in args:
         check_report(path)
-    print(f"all {len(argv) - 1} report(s) valid")
+        if pins is not None:
+            check_digest(path, pins)
+    print(f"all {len(args)} report(s) valid")
 
 
 if __name__ == "__main__":

@@ -6,24 +6,22 @@ per-WR critical-path decomposition with CoZ-style what-if estimates, and
 the exact-picosecond reconciliation status, read from the
 "resource_waits" / "critical_path" sections of BENCH_<name>.json files.
 
-Plane 2 (host time): per-shard engine cost decomposition (dispatch /
-barrier-park / outbox-merge shares of wall time), read from an
+Plane 2 (host time): engine dispatch totals (events, inline grants,
+dispatch time, host ns per event), read from an
 ENGINE_PROFILE.json (or the "engine_profile" section of a bench report).
 
 Usage:
-  obs_report.py [--engine-profile PATH] [--min-accounted FRACTION]
-                [--top N] [BENCH_foo.json ...]
+  obs_report.py [--engine-profile PATH] [--top N] [BENCH_foo.json ...]
 
-Exits non-zero when a report is malformed, a critical path fails to
-reconcile, or any profiled shard's accounted share falls below
---min-accounted (default 0.0, i.e. not gated). Stdlib only.
+Exits non-zero when a report is malformed or a critical path fails to
+reconcile. Stdlib only.
 """
 
 import argparse
 import json
 import sys
 
-ENGINE_SCHEMA = "rdmasem-engine-profile-v1"
+ENGINE_SCHEMA = "rdmasem-engine-profile-v2"
 
 
 def die(msg):
@@ -89,56 +87,15 @@ def report_critical_path(name, cp, top):
         die(f"{name}: critical path failed to reconcile")
 
 
-def report_engine_profile(name, ep, min_accounted):
+def report_engine_profile(name, ep):
     if ep.get("schema") != ENGINE_SCHEMA:
         die(f"{name}: engine profile schema is not {ENGINE_SCHEMA!r}")
-    worst = 1.0
-    starved = []
-    for g in ep.get("groups", []):
-        print(f"\n== {name}: engine profile, shards={g['shards']} "
-              f"({g['runs']} run(s)) ==")
-        out = []
-        for r in g["rows"]:
-            wall = r["wall_ns"]
-            acct = r["accounted_share"]
-            worst = min(worst, acct)
-            epe = r.get("events_per_epoch", 0)
-            if g["shards"] > 1 and r["epochs"] > 0 and epe < 10:
-                starved.append((g["shards"], r["shard"], epe))
-            out.append([
-                str(r["shard"]), str(r["epochs"]), str(r["events"]),
-                f"{epe:.1f}",
-                f"{r.get('epochs_per_sec', 0):.0f}",
-                f"{r.get('effective_lookahead_ps', 0) / 1e3:.1f}",
-                str(r.get("fused_epochs", 0)),
-                str(r.get("resplit_epochs", 0)),
-                str(r.get("quiescent_terms", 0)),
-                f"{r.get('horizon_widening_ps', 0) / 1e3:.1f}",
-                ms(r["dispatch_ns"]), ms(r["barrier_park_ns"]),
-                ms(r["merge_ns"]), ms(wall),
-                f"{r['dispatch_ns'] / wall:.3f}" if wall else "0",
-                f"{r['barrier_park_ns'] / wall:.3f}" if wall else "0",
-                f"{r['merge_ns'] / wall:.3f}" if wall else "0",
-                f"{acct:.3f}", str(r["merged_events"]),
-                str(r["inline_grants"]), str(r["max_queue_depth"]),
-            ])
-        print(fmt_table(
-            ["shard", "epochs", "events", "ev/epoch", "epoch/s",
-             "eff_la_ns", "fused", "resplit", "quiesc", "widen_ns",
-             "dispatch_ms", "park_ms",
-             "merge_ms", "wall_ms", "disp_share", "park_share",
-             "merge_share", "accounted", "merged_ev", "inline", "max_qd"],
-            out))
-    for shards, shard, epe in starved:
-        # The symptom the demand-driven horizon exists to fix: barrier
-        # crossings so frequent that each buys under 10 events of work.
-        print(f"obs_report: WARNING: {name} shards={shards} shard {shard}: "
-              f"events_per_epoch {epe:.1f} < 10 — epoch-starved; check "
-              "fused/quiesc counters and RDMASEM_HORIZON_* knobs",
-              file=sys.stderr)
-    if worst < min_accounted:
-        die(f"{name}: accounted share {worst:.3f} below "
-            f"--min-accounted {min_accounted}")
+    print(f"\n== {name}: engine profile ({ep['runs']} run(s)) ==")
+    print(fmt_table(
+        ["events", "inline", "dispatch_ms", "ns/event", "max_qd"],
+        [[str(ep["events"]), str(ep["inline_grants"]),
+          ms(ep["dispatch_ns"]),
+          f"{ep['ns_per_event']:.1f}", str(ep["max_queue_depth"])]]))
 
 
 def main(argv):
@@ -148,9 +105,6 @@ def main(argv):
     ap.add_argument("reports", nargs="*", metavar="BENCH_foo.json")
     ap.add_argument("--engine-profile", metavar="PATH",
                     help="standalone ENGINE_PROFILE.json to render")
-    ap.add_argument("--min-accounted", type=float, default=0.0,
-                    help="fail if any shard's (dispatch+park+merge)/wall "
-                         "share is below this fraction")
     ap.add_argument("--top", type=int, default=12,
                     help="rows per bottleneck table (default 12)")
     args = ap.parse_args(argv[1:])
@@ -176,7 +130,7 @@ def main(argv):
             rendered += 1
         ep = report.get("engine_profile")
         if ep:
-            report_engine_profile(name, ep, args.min_accounted)
+            report_engine_profile(name, ep)
             rendered += 1
         if not (rw or cp or ep):
             print(f"{name}: no profiler sections (run with RDMASEM_TRACE=1 "
@@ -188,7 +142,7 @@ def main(argv):
                 ep = json.load(f)
         except (OSError, ValueError) as e:
             die(f"{args.engine_profile}: {e}")
-        report_engine_profile(args.engine_profile, ep, args.min_accounted)
+        report_engine_profile(args.engine_profile, ep)
         rendered += 1
 
     if rendered == 0:

@@ -6,20 +6,15 @@ bench/selfbench_engine) and fails when the scheduler hot path got slower:
 
   1. The in-run calendar/legacy dispatch speedup must stay above a floor
      (default 1.8x; it was 2.0x before the engine grew lane-keyed event
-     ordering, whose placement-free total order is what makes the
-     parallel mode deterministic — that bookkeeping costs ~10% of serial
-     dispatch, see docs/PERF.md). Both engines are timed in the same
-     process on the same machine, so this number is machine-independent
-     — it is the primary serial criterion. The parallel engine has its own in-run ratio:
-     speedup/par4 (4-shard vs serial wall clock on a 16-machine shuffle)
-     must stay above --min-par-speedup (default 2.0x) — enforced only
-     when the parallel_cpus/host point shows >= 4 hardware threads,
-     because a core-starved host cannot exhibit the speedup. The verbs
-     datapath has a third in-run ratio: speedup/datapath (tuned vs
-     legacy datapath on the mixed-SGE write/read storm) must stay above
-     --min-datapath-speedup (default 1.5x). Alongside it, the
-     datapath_allocs/steady point must be exactly 0: the steady-state
-     single-SGE hot path is not allowed to touch the heap.
+     ordering, whose bookkeeping costs ~10% of dispatch, see
+     docs/PERF.md). Both engines are timed in the same process on the
+     same machine, so this number is machine-independent — it is the
+     primary criterion. The verbs datapath has a second in-run ratio:
+     speedup/datapath (tuned vs legacy datapath on the mixed-SGE
+     write/read storm) must stay above --min-datapath-speedup (default
+     1.5x). Alongside it, the datapath_allocs/steady point must be
+     exactly 0: the steady-state single-SGE hot path is not allowed to
+     touch the heap.
   2. Every workload's throughput, NORMALIZED by the in-run legacy
      dispatch number (which anchors how fast the host is), must stay
      within --tolerance (default 0.20) of the checked-in baseline
@@ -83,22 +78,6 @@ def load_points(path):
     return points
 
 
-def park_share(report, shards):
-    """Barrier-park share of wall time, summed over the rows of the
-    engine-profile group with the given shard count; None when the report
-    carries no profile or no such group (profiling disabled)."""
-    ep = report.get("engine_profile")
-    if not isinstance(ep, dict):
-        return None
-    for g in ep.get("groups", []):
-        if g.get("shards") != shards:
-            continue
-        park = sum(int(r.get("barrier_park_ns", 0)) for r in g["rows"])
-        wall = sum(int(r.get("wall_ns", 0)) for r in g["rows"])
-        return park / wall if wall > 0 else None
-    return None
-
-
 def sustained_tenants(points, series, tolerance):
     """Largest x (tenant count) whose MOPS is within `tolerance` of the
     series' peak — the scale the service tier sustains before collapse."""
@@ -153,23 +132,10 @@ def main():
                     default=float(os.environ.get("RDMASEM_PERF_MIN_SPEEDUP",
                                                  "1.8")),
                     help="floor for the calendar/legacy dispatch ratio")
-    ap.add_argument("--min-par-speedup", type=float,
-                    default=float(os.environ.get(
-                        "RDMASEM_PERF_MIN_PAR_SPEEDUP", "2.0")),
-                    help="floor for the 4-shard/serial parallel ratio "
-                         "(enforced only when the report was produced on "
-                         "a host with >= 4 hardware threads)")
     ap.add_argument("--min-datapath-speedup", type=float,
                     default=float(os.environ.get(
                         "RDMASEM_PERF_MIN_DATAPATH_SPEEDUP", "1.5")),
                     help="floor for the tuned/legacy verbs-datapath ratio")
-    ap.add_argument("--max-park-share", type=float,
-                    default=float(os.environ.get(
-                        "RDMASEM_PERF_MAX_PARK_SHARE", "0.40")),
-                    help="barrier-park budget: ceiling on the shard-4 "
-                         "park/wall share from the report's engine_profile "
-                         "section (enforced only on hosts with >= 4 "
-                         "hardware threads; env RDMASEM_PERF_MAX_PARK_SHARE)")
     ap.add_argument("--tenant-report", default=None,
                     help="BENCH_ext_tenant_scale.json; when given, also "
                          "enforce the multi-tenant scaling floors")
@@ -206,31 +172,18 @@ def main():
     if speedup is None:
         die("report lacks a speedup/dispatch point")
 
-    # Workload rows: everything except the legacy anchor, the ratio rows,
-    # the parallel sweep — parallel throughput depends on the host's
-    # core count, so it is gated by its own in-run ratio below, not by a
-    # cross-machine baseline comparison — and the allocation counter,
-    # which is an exact criterion of its own, not a throughput.
+    # Workload rows: everything except the legacy anchor, the ratio rows
+    # and the allocation counter, which is an exact criterion of its own,
+    # not a throughput.
     workloads = {
         f"{series}/{x}": mops
         for (series, x), mops in sorted(points.items())
-        if series not in ("speedup", "parallel", "parallel_cpus",
-                          "datapath_allocs")
+        if series not in ("speedup", "datapath_allocs")
         and (series, x) != ("dispatch", "legacy")
     }
     normalized = {k: v / legacy for k, v in workloads.items()}
 
-    # Parallel-engine self-ratio. The sweep is REQUIRED (since PR 9): a
-    # report without it can silently skip the scaling floor, so its
-    # absence is a gate failure, not a skip. The floor itself is only
-    # waived on hosts with < 4 hardware threads, which physically cannot
-    # exhibit a 4-shard speedup.
-    par_speedup = points.get(("speedup", "par4"))
-    par_cpus = points.get(("parallel_cpus", "host"))
-    if par_speedup is None and not args.update_baseline:
-        die("report lacks the speedup/par4 point (parallel sweep) — "
-            "the 4-shard scaling floor cannot be skipped")
-    # Verbs-datapath self-ratio and allocation count, same presence rule.
+    # Verbs-datapath self-ratio and allocation count.
     dp_speedup = points.get(("speedup", "datapath"))
     dp_allocs = points.get(("datapath_allocs", "steady"))
 
@@ -245,12 +198,8 @@ def main():
             "absolute_mev": {k: round(v, 4) for k, v in workloads.items()},
             "normalized": {k: round(v, 4) for k, v in normalized.items()},
         }
-        if par_speedup is not None:
-            # Context only — the gate uses the in-run ratio, never this.
-            baseline["parallel_speedup"] = round(par_speedup, 4)
-            baseline["parallel_cpus"] = round(par_cpus or 0.0, 1)
         if dp_speedup is not None:
-            # Context only, like parallel_speedup.
+            # Context only — the gate uses the in-run ratio, never this.
             baseline["datapath_speedup"] = round(dp_speedup, 4)
         with open(args.baseline, "w") as f:
             json.dump(baseline, f, indent=2)
@@ -275,44 +224,6 @@ def main():
         failures.append(
             f"dispatch speedup {speedup:.2f}x fell below the "
             f"{args.min_speedup:.2f}x floor")
-
-    if par_speedup is not None:
-        if par_cpus is not None and par_cpus >= 4:
-            print(f"perf_gate: parallel speedup 4-shard/serial = "
-                  f"{par_speedup:.2f}x (floor {args.min_par_speedup:.2f}x, "
-                  f"host threads {par_cpus:.0f})")
-            if par_speedup < args.min_par_speedup:
-                failures.append(
-                    f"parallel 4-shard speedup {par_speedup:.2f}x fell "
-                    f"below the {args.min_par_speedup:.2f}x floor")
-        else:
-            print(f"perf_gate: parallel speedup 4-shard/serial = "
-                  f"{par_speedup:.2f}x — floor SKIPPED (host has "
-                  f"{0 if par_cpus is None else par_cpus:.0f} hardware "
-                  f"threads, need >= 4)")
-
-    # Barrier-park budget (PR 10): with the demand-driven horizon engaged,
-    # shard-4 workers must spend most of their wall time dispatching, not
-    # parked at the epoch barrier. Same host waiver as the speedup floor:
-    # on < 4 hardware threads the workers time-slice one another and park
-    # time measures the scheduler, not the engine. The selfbench's parallel
-    # sweep always runs profiled (bench/selfbench_engine.cpp), so a missing
-    # profile group means the sweep was skipped — already fatal above.
-    share = park_share(report, 4)
-    if share is not None:
-        if par_cpus is not None and par_cpus >= 4:
-            verdict = "ok" if share < args.max_park_share else "REGRESSED"
-            print(f"perf_gate: shard-4 barrier-park share = {share:.3f} "
-                  f"(budget {args.max_park_share:.2f}) {verdict}")
-            if share >= args.max_park_share:
-                failures.append(
-                    f"shard-4 barrier-park share {share:.3f} blew the "
-                    f"{args.max_park_share:.2f} budget")
-        else:
-            print(f"perf_gate: shard-4 barrier-park share = {share:.3f} "
-                  f"— budget SKIPPED (host has "
-                  f"{0 if par_cpus is None else par_cpus:.0f} hardware "
-                  f"threads, need >= 4)")
 
     if dp_speedup is not None:
         print(f"perf_gate: datapath speedup tuned/legacy = "

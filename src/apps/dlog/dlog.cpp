@@ -66,7 +66,7 @@ DistributedLog::DistributedLog(std::vector<verbs::Context*> ctxs,
                                ->register_buffer(replica_mem_.back(),
                                                  p.rnic_socket));
   }
-  replica_dead_ = std::vector<std::atomic<bool>>(cfg_.replicas - 1);
+  replica_dead_.assign(cfg_.replicas - 1, false);
 
   const auto writers = static_cast<std::uint32_t>(ctxs_.size()) - 1;
   for (std::uint32_t e = 0; e < cfg_.engines; ++e) {
@@ -227,16 +227,12 @@ sim::Task DistributedLog::run_engine(Engine* en, sim::CountdownLatch& done) {
 void DistributedLog::drop_replica(Engine* en, std::uint32_t r) {
   if (en->replica_qps[r] == nullptr) return;
   en->replica_qps[r] = nullptr;  // this engine stops replicating to r
-  // r is no longer a recovery candidate. Engines on different lanes can
-  // fail over concurrently; all of this commutes.
-  replica_dead_[r].store(true, std::memory_order_relaxed);
-  failovers_.fetch_add(1, std::memory_order_relaxed);
+  // r is no longer a recovery candidate.
+  replica_dead_[r] = true;
+  ++failovers_;
   const sim::Time now = en->ctx->engine().now();
-  sim::Time prev = first_failover_at_.load(std::memory_order_relaxed);
-  while ((prev == 0 || now < prev) &&
-         !first_failover_at_.compare_exchange_weak(
-             prev, now, std::memory_order_relaxed)) {
-  }
+  if (first_failover_at_ == 0 || now < first_failover_at_)
+    first_failover_at_ = now;
 }
 
 Result DistributedLog::run() {

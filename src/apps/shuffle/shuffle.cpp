@@ -183,8 +183,7 @@ sim::Task Shuffle::run_executor(Executor* ex, sim::CountdownLatch& done) {
       const std::uint64_t w = key ^ (b * 0x9e3779b97f4a7c15ULL);
       std::memcpy(rec + b, &w, std::min<std::size_t>(8, cfg_.entry_size - b));
     }
-    sent_checksum_.fetch_add(entry_checksum(rec, cfg_.entry_size),
-                             std::memory_order_relaxed);
+    sent_checksum_ += entry_checksum(rec, cfg_.entry_size);
     co_await sim::delay(eng, p.cpu_tuple_work + p.cpu_hash);
 
     Executor* d = executors_[dst].get();
@@ -234,8 +233,7 @@ sim::Task Shuffle::run_producer(Executor* ex, sim::CountdownLatch& staged) {
       const std::uint64_t w = key ^ (b * 0x9e3779b97f4a7c15ULL);
       std::memcpy(rec + b, &w, std::min<std::size_t>(8, cfg_.entry_size - b));
     }
-    sent_checksum_.fetch_add(entry_checksum(rec, cfg_.entry_size),
-                             std::memory_order_relaxed);
+    sent_checksum_ += entry_checksum(rec, cfg_.entry_size);
     ++ex->sent_count[dst];
     co_await sim::delay(eng, p.cpu_tuple_work + p.cpu_hash +
                                  p.memcpy_time(cfg_.entry_size));

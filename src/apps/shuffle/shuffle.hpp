@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -72,7 +71,7 @@ class Shuffle {
   // after run()).
   std::uint64_t received_checksum() const;
   std::uint64_t sent_checksum() const {
-    return sent_checksum_.load(std::memory_order_relaxed);
+    return sent_checksum_;
   }
   // Entries landed at executor `e` (valid after run()).
   std::uint64_t received_count(std::uint32_t executor) const;
@@ -106,9 +105,8 @@ class Shuffle {
   std::vector<verbs::Context*> ctxs_;
   Config cfg_;
   std::vector<std::unique_ptr<Executor>> executors_;
-  // Summed from every executor's lane; addition commutes, so the total is
-  // independent of the shard layout.
-  std::atomic<std::uint64_t> sent_checksum_{0};
+  // Summed from every executor's lane.
+  std::uint64_t sent_checksum_ = 0;
 };
 
 }  // namespace rdmasem::apps::shuffle

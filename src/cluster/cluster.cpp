@@ -3,20 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "util/env.hpp"
-
 namespace rdmasem::cluster {
-
-namespace {
-// RDMASEM_SHARDS: worker-shard count for the parallel engine. 1 (the
-// default) is the classic single-threaded simulator; values are clamped
-// to [1, machines] — more shards than machines would leave workers idle.
-std::uint32_t shard_count(std::uint32_t machines) {
-  const std::uint64_t req = util::env_u64("RDMASEM_SHARDS", 1);
-  const std::uint64_t cap = machines == 0 ? 1 : machines;
-  return static_cast<std::uint32_t>(std::clamp<std::uint64_t>(req, 1, cap));
-}
-}  // namespace
 
 Machine::Machine(sim::Engine& engine, const hw::ModelParams& params,
                  MachineId id)
@@ -42,11 +29,10 @@ Cluster::Cluster(sim::Engine& engine, hw::ModelParams params)
   // lane's affinity group is its machine's leaf switch (the driver rides
   // with machine 0's leaf), and the group latency matrix is the minimum
   // hop_latency over the machine pairs of the two leaves — so the
-  // engine's per-(src,dst)-shard lookahead matrix (= the conservative
-  // epoch widths) is derived from the same function the fabric charges
-  // per message, and no event can ever cross shards inside an epoch.
-  // With the default flat fabric this collapses to one group at
-  // net_propagation + net_switch_hop, the classic global lookahead.
+  // per-pair lookahead that settle() and the home-lane sync primitives
+  // charge is derived from the same function the fabric charges per
+  // message. With the default flat fabric this collapses to one group at
+  // net_propagation + net_switch_hop.
   const std::uint32_t lanes = params.machines + 1;
   sim::LaneTopology topo;
   std::uint32_t groups = 1;
@@ -70,14 +56,7 @@ Cluster::Cluster(sim::Engine& engine, hw::ModelParams params)
   // the flat-fabric latency so the engine still has a nonzero lookahead.
   for (auto& lat : topo.group_latency)
     if (lat == kUnset) lat = base;
-  engine_.configure_lanes(lanes, shard_count(params.machines),
-                          std::move(topo));
-  // Publication quantum for the demand-driven horizon: half the base
-  // fabric latency. Clock publications then land at least twice per
-  // lookahead window, so a peer's live term never lags a full epoch
-  // behind the sender's true position (RDMASEM_HORIZON_QUANTUM overrides).
-  if (engine_.horizon_quantum() == 0)
-    engine_.set_horizon_quantum(std::max<sim::Duration>(base / 2, 1));
+  engine_.configure_lanes(lanes, std::move(topo));
   faults_.set_lanes(lanes);
   obs_.tracer.set_lanes(lanes);
   machines_.reserve(params.machines);

@@ -95,7 +95,7 @@ bool FaultInjector::apply_end(FaultState& st, const FaultEvent& ev) {
 void FaultInjector::begin_on(std::uint32_t lane, const FaultEvent& ev) {
   apply_begin(replica(lane), ev);
   if (lane == notify_lane(ev)) {
-    injected_.fetch_add(1, std::memory_order_relaxed);
+    ++injected_;
     notify(ev, /*is_begin=*/true);
   }
 }
@@ -106,7 +106,7 @@ void FaultInjector::end_on(std::uint32_t lane, const FaultEvent& ev) {
 }
 
 void FaultInjector::begin(const FaultEvent& ev) {
-  injected_.fetch_add(1, std::memory_order_relaxed);
+  ++injected_;
   const std::uint32_t lanes = lane_count();
   for (std::uint32_t l = 0; l < lanes; ++l) apply_begin(replica(l), ev);
   notify(ev, /*is_begin=*/true);

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -20,8 +19,8 @@ namespace rdmasem::fault {
 //   * FaultInjector(engine, FaultState&)  — single shared state, mutated
 //     on the scheduling lane. The standalone/serial mode tests use.
 //   * FaultInjector(engine, FaultDomain&) — one edge event per lane, each
-//     mutating that lane's replica, so worker shards read fault state
-//     without synchronization. Listeners fire exactly once per edge, on
+//     mutating that lane's replica, so each lane reads its own copy of the
+//     fault state. Listeners fire exactly once per edge, on
 //     the faulted machine's lane (the lane that owns the RNIC the
 //     listener touches).
 //
@@ -48,12 +47,12 @@ class FaultInjector {
   void schedule(const FaultPlan& plan);
 
   // Immediate injection on every replica (used by tests and the schedule
-  // machinery). Driver-context only under RDMASEM_SHARDS > 1.
+  // machinery).
   void begin(const FaultEvent& ev);
   void end(const FaultEvent& ev);
 
   std::uint64_t injected() const {
-    return injected_.load(std::memory_order_relaxed);
+    return injected_;
   }
   FaultState& state() {
     return single_ != nullptr ? *single_ : domain_->replica(0);
@@ -85,9 +84,7 @@ class FaultInjector {
   FaultState* single_ = nullptr;
   FaultDomain* domain_ = nullptr;
   std::vector<Listener> listeners_;
-  // Relaxed atomic: bumped on the notify lane only, but different faults
-  // notify on different lanes concurrently; read after runs quiesce.
-  std::atomic<std::uint64_t> injected_{0};
+  std::uint64_t injected_ = 0;
 };
 
 }  // namespace rdmasem::fault

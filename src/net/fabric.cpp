@@ -12,13 +12,13 @@ Fabric::Fabric(sim::Engine& engine, const hw::ModelParams& params,
     tx_.push_back(std::make_unique<sim::Resource>(engine_, 1, "link_tx"));
     rx_.push_back(std::make_unique<sim::Resource>(engine_, 1, "link_rx"));
   }
-  link_drops_ = std::vector<std::atomic<std::uint64_t>>(n);
+  link_drops_.assign(n, 0);
 }
 
 sim::TaskT<void> Fabric::transit(MachineId src, PortId sport, MachineId dst,
                                  PortId dport, std::size_t payload_bytes) {
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
+  ++messages_;
+  bytes_ += payload_bytes;
   const sim::Duration wire = p_.wire_time(payload_bytes);
   if (src == dst && sport == dport) {
     // RNIC-internal loopback: no switch, no cable; just the port turnaround.
@@ -48,8 +48,8 @@ bool Fabric::dropped(MachineId src, PortId sport, MachineId dst, PortId dport) {
   if (faults_ != nullptr && faults_->current().active()) {
     const fault::FaultState& st = faults_->current();
     if (st.blocked(src, sport, dst, dport)) {
-      drops_.fetch_add(1, std::memory_order_relaxed);
-      link_drops_[index(src, sport)].fetch_add(1, std::memory_order_relaxed);
+      ++drops_;
+      ++link_drops_[index(src, sport)];
       return true;  // no path: crashed node, dead link or partition
     }
     const double burst = st.loss_override(src, sport, dst, dport);
@@ -58,8 +58,8 @@ bool Fabric::dropped(MachineId src, PortId sport, MachineId dst, PortId dport) {
   if (prob <= 0.0) return false;
   const bool lost = engine_.rng().chance(prob);
   if (lost) {
-    drops_.fetch_add(1, std::memory_order_relaxed);
-    link_drops_[index(src, sport)].fetch_add(1, std::memory_order_relaxed);
+    ++drops_;
+    ++link_drops_[index(src, sport)];
   }
   return lost;
 }

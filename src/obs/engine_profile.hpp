@@ -1,26 +1,17 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "sim/engine.hpp"
 
 namespace rdmasem::obs {
 
 // EngineProfileAccum — the Plane-2 (host time) aggregate of
-// sim::EngineProfile snapshots across a bench run. Rows are GROUPED BY
-// SHARD COUNT: the engine selfbench runs the same workload at shards
-// 1/2/4 in one process, and mixing their rows would average away exactly
-// the cross-shard-cost differences the profile exists to expose. Within a
-// group, per-shard rows accumulate across runs (shard i of run j adds
-// into row i).
-//
-// accounted_share = (dispatch + barrier_park + merge) / wall for each
-// row — how much of the shard's host wall time decomposes into named
-// costs. docs/PERF.md reads the shard-4 group of this table to explain
-// the parallel-efficiency gap.
+// sim::EngineProfile snapshots across a bench run: every absorbed
+// snapshot adds into one row (counts and times sum, the queue high-water
+// mark takes the max). Wall time is not reported separately: the
+// dispatch loop is the whole run, so it equals dispatch time.
 class EngineProfileAccum {
  public:
   // Folds one drained snapshot. Disabled snapshots (RDMASEM_PROF unset)
@@ -28,21 +19,17 @@ class EngineProfileAccum {
   // omits the section.
   void absorb(const sim::EngineProfile& p);
 
-  bool empty() const { return groups_.empty(); }
+  bool empty() const { return runs_ == 0; }
 
-  // Human table, one block per shard-count group; empty string when
-  // nothing was absorbed.
+  // Human table; empty string when nothing was absorbed.
   std::string render() const;
   // ENGINE_PROFILE.json / the "engine_profile" bench-report section
-  // (schema "rdmasem-engine-profile-v1", scripts/check_bench_json.py).
+  // (schema "rdmasem-engine-profile-v2", scripts/check_bench_json.py).
   std::string json() const;
 
  private:
-  struct Group {
-    std::uint64_t runs = 0;
-    std::vector<sim::ShardProfile> rows;  // index == shard id
-  };
-  std::map<std::uint32_t, Group> groups_;  // key: shard count
+  std::uint64_t runs_ = 0;
+  sim::ShardProfile row_;
 };
 
 }  // namespace rdmasem::obs

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -19,17 +18,15 @@ namespace rdmasem::obs {
 // lifetime, so hot paths cache them and pay one increment, never a map
 // lookup. Incrementing a counter never touches the virtual clock, so
 // instrumented and uninstrumented runs are trace-identical by
-// construction. Increments are relaxed atomics: under RDMASEM_SHARDS > 1
-// several worker lanes bump the same counter concurrently, and addition
-// commutes, so the sampled totals are shard-count-invariant.
+// construction.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
+  void inc(std::uint64_t n = 1) { v_ += n; }
+  std::uint64_t value() const { return v_; }
+  void reset() { v_ = 0; }
 
  private:
-  std::atomic<std::uint64_t> v_{0};
+  std::uint64_t v_ = 0;
 };
 
 // MetricsRegistry — the cluster-wide catalog of typed metrics:

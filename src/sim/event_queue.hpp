@@ -17,9 +17,7 @@ namespace rdmasem::sim {
 // otherwise `fn` is invoked. (at, seq) is the total dispatch order:
 // earlier time first, then seq. The engine packs seq as
 // (origin_lane << 48) | per_lane_seq, so the order is a pure function of
-// which lane scheduled the event and in what per-lane order — i.e. it
-// does not depend on how lanes are placed onto shards, which is what
-// makes parallel execution byte-identical to serial (docs/PERF.md).
+// which lane scheduled the event and in what per-lane order.
 // `exec_lane` is the lane the event runs on (differs from the origin
 // lane only for cross-lane hops/wakes).
 struct Event {
@@ -56,8 +54,7 @@ inline bool event_after(const Event& a, const Event& b) {
 //     search + small memmove otherwise (buckets hold few events).
 //   * overflow: a (at, seq) min-heap for events past the ring horizon
 //     (retransmit timers, fault windows, app-level timeouts) or behind
-//     the cursor (cross-shard merges, pushes after run_until parked the
-//     clock). When the ring drains, the window re-anchors at the
+//     the cursor (pushes after run_until parked the clock). When the ring drains, the window re-anchors at the
 //     overflow minimum and one horizon's worth of events migrates into
 //     the ring (each event migrates at most once).
 //
@@ -67,10 +64,8 @@ inline bool event_after(const Event& a, const Event& b) {
 // ordered through the cursor-bucket heap like everything else.
 //
 // Determinism: pop() always returns the global (at, seq) minimum across
-// the tiers regardless of push order — pushes do NOT need increasing seq,
-// which is what lets the parallel driver bulk-merge cross-shard mailboxes
-// at epoch barriers in arbitrary arrival order (asserted by the fuzz
-// differential in tests/fuzz_test.cpp).
+// the tiers regardless of push order — pushes do NOT need increasing seq
+// (asserted by the fuzz differential in tests/fuzz_test.cpp).
 //
 // Storage is pooled by construction: bucket vectors and the overflow
 // heap keep their capacity across cycles, so a warmed-up queue schedules
@@ -101,8 +96,7 @@ class EventQueue {
   std::size_t size() const { return size_; }
   // High-water mark of size() since construction / clear() /
   // reset_max_size(). One predicted compare per push; the engine profiler
-  // (RDMASEM_PROF) reads it per drain window as the shard's peak queue
-  // depth.
+  // (RDMASEM_PROF) reads it per drain window as the peak queue depth.
   std::size_t max_size() const { return max_size_; }
   void reset_max_size() { max_size_ = size_; }
 
@@ -134,15 +128,6 @@ class EventQueue {
     std::push_heap(overflow_.begin(), overflow_.end(), event_after);
   }
 
-  // Bulk insert for epoch-barrier inbox merges: pushes every event and
-  // clears the source vector (the producer keeps the capacity for its
-  // next epoch). Arbitrary arrival order is fine — see the determinism
-  // note above.
-  void push_all(std::vector<Event>& evs) {
-    for (Event& ev : evs) push(std::move(ev));
-    evs.clear();
-  }
-
   // Removes and returns the (at, seq)-minimum event. Requires !empty().
   Event pop() {
     RDMASEM_CHECK_MSG(size_ > 0, "pop on empty event queue");
@@ -158,16 +143,8 @@ class EventQueue {
     return peek_best()->at;
   }
 
-  // next_time() with an empty-queue fallback instead of a CHECK. The
-  // demand-driven horizon (engine.cpp) polls drained queues in its
-  // refresh loop, where "empty" is an ordinary state, not a bug.
-  Time next_time_or(Time fallback) {
-    return size_ == 0 ? fallback : next_time();
-  }
-
   // (at, seq) key of the next event in dispatch order. Requires !empty().
-  // Used by the engine to pick the globally-minimum shard when stepping
-  // serially across shards (run_events).
+  // Used by the engine's inline-wakeup check (try_inline_advance).
   std::pair<Time, std::uint64_t> peek() {
     RDMASEM_CHECK_MSG(size_ > 0, "peek on empty event queue");
     prepare();

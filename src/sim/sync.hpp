@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
@@ -10,30 +9,18 @@
 
 namespace rdmasem::sim {
 
-// Lane discipline (RDMASEM_SHARDS > 1): these primitives are not locks —
-// they are virtual-clock rendezvous points. Each has a HOME lane (the
-// lane it was created on) that owns all of its bookkeeping. Signals and
-// wait registrations arriving from another lane are routed to the home
-// lane as an engine event one (origin -> home) lookahead later — the same
+// Lane discipline: these primitives are not locks — they are
+// virtual-clock rendezvous points. Each has a HOME lane (the lane it was
+// created on) that owns all of its bookkeeping. Signals and wait
+// registrations arriving from another lane are routed to the home lane as
+// an engine event one (origin -> home) lookahead later — the same
 // per-pair minimum latency any signal between those machines pays on the
-// fabric (Engine::lookahead(from, to)) — which (a) keeps every
-// cross-shard event outside the conservative epoch and (b) makes the
-// order in which racing signals land a pure function of virtual time and
-// origin-lane keys, i.e. identical for every shard count. Same-lane use
-// (the overwhelmingly common case) takes none of these detours and
-// behaves exactly like the classic single-threaded primitives.
-//
-// Cross-lane use therefore requires a nonzero engine lookahead; the
-// Cluster always configures one. Waiters are resumed on the lane they
-// suspended on.
-//
-// Latency-floor contract: every cross-lane event these primitives post
-// is scheduled at now + Engine::lookahead(origin, home) or later — never
-// earlier. The demand-driven horizon (PR 10, sim/engine.cpp) depends on
-// exactly this floor to extend epochs from peers' live clocks, and the
-// engine asserts it on every cross-shard push
-// ("cross-shard event undercuts the per-pair lookahead"), so a primitive
-// that shaved the delay would trip the CHECK, not corrupt the order.
+// fabric (Engine::lookahead(from, to)) — so the order in which racing
+// signals land is a pure function of virtual time and origin-lane keys.
+// That routing delay is part of the simulated timeline: changing it moves
+// output bytes. Same-lane use (the overwhelmingly common case) takes none
+// of these detours and behaves exactly like the classic single-lane
+// primitives. Waiters are resumed on the lane they suspended on.
 
 // OneShotEvent — level-triggered: once set(), all current and future
 // waiters proceed immediately. Used for "experiment warm-up done" barriers.
@@ -101,8 +88,7 @@ class OneShotEvent {
 // CountdownLatch — wait() suspends until count_down() has been called
 // `count` times. The standard join point for "spawn N executors, wait for
 // all of them". count_down() is legal from any lane: off-home calls are
-// routed to the home lane one lookahead later, so N executors joining a
-// driver-owned latch is deterministic whatever the shard layout.
+// routed to the home lane one lookahead later.
 class CountdownLatch {
  public:
   CountdownLatch(Engine& engine, std::uint64_t count)
@@ -121,7 +107,7 @@ class CountdownLatch {
   // Exact once the engine is idle (run() drains routed decrements);
   // mid-run it can lag by signals still in flight.
   std::uint64_t remaining() const {
-    return remaining_.load(std::memory_order_relaxed);
+    return remaining_;
   }
 
   struct Awaiter {
@@ -136,9 +122,9 @@ class CountdownLatch {
 
  private:
   void dec_local() {
-    const std::uint64_t prev = remaining_.load(std::memory_order_relaxed);
+    const std::uint64_t prev = remaining_;
     RDMASEM_CHECK_MSG(prev > 0, "latch underflow");
-    remaining_.store(prev - 1, std::memory_order_relaxed);
+    remaining_ = prev - 1;
     if (prev == 1) {
       for (const auto& w : waiters_) wake(w);
       waiters_.clear();
@@ -157,7 +143,7 @@ class CountdownLatch {
     engine_.schedule_on(home_,
                         engine_.now() + engine_.lookahead(lane, home_),
                         [this, h, lane] {
-                          if (remaining_.load(std::memory_order_relaxed) == 0)
+                          if (remaining_ == 0)
                             wake({h, lane});
                           else
                             waiters_.push_back({h, lane});
@@ -166,9 +152,7 @@ class CountdownLatch {
 
   Engine& engine_;
   const std::uint32_t home_;
-  // Mutated on the home lane only; atomic so the driver may read
-  // remaining() after run() without a formal data race.
-  std::atomic<std::uint64_t> remaining_;
+  std::uint64_t remaining_;  // mutated on the home lane only
   std::deque<LaneWaiter> waiters_;
 };
 

@@ -372,7 +372,7 @@ sim::TaskT<bool> QueuePair::deliver(std::uint32_t src_machine,
         co_await sim::hop(eng, home_lane, backoff);
       co_return false;
     }
-    retransmits_.fetch_add(1, std::memory_order_relaxed);
+    ++retransmits_;
     hub.retransmits.inc();
     hub.backoff_ps.inc(backoff);
     co_await sim::hop(eng, src_lane, backoff);
@@ -624,16 +624,9 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
   // and only sequentially (before/after the wire hop). Single-SGE RC
   // payloads skip even the gather: the frame carries a borrowed view into
   // the source MR and the landing memcpy is the only copy. The app cannot
-  // legally touch the buffer before the completion — but OTHER WRs can
-  // land into an overlapping region of the source MR, and those scatters
-  // run on the requester's lane while the borrowed view is read on the
-  // responder's. On one shard those are sequential; across shards they
-  // are host-concurrent within an epoch (virtual order is not host
-  // order), a genuine data race. So the borrow is physical only when both
-  // lanes share a shard; otherwise the bytes are gathered here as usual.
-  // The obs counters stay keyed to the placement-independent ELIGIBILITY
-  // predicate (and pool_hit() is a pure size predicate), so every digest
-  // remains byte-identical at every shard count.
+  // legally touch the buffer before the completion. Other WRs may land in
+  // an overlapping source region first, but events run one at a time, so
+  // their writes never race the landing copy on the host.
   // Loopback (same machine) keeps staging so the landing never memcpy's
   // between overlapping ranges.
   PayloadBuf payload;
@@ -641,16 +634,14 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
     const bool zc_eligible =
         tune.zero_copy && (tp == Transport::kRC || tp == Transport::kDc) &&
         wr.sg_list.size() == 1 && lm.id() != rm.id();
-    if (zc_eligible) hub.zero_copy_wrs.inc();
-    if (zc_eligible && eng.shard_of(static_cast<std::uint32_t>(lm.id()) + 1) ==
-                           eng.shard_of(static_cast<std::uint32_t>(rm.id()) + 1)) {
+    if (zc_eligible) {
+      hub.zero_copy_wrs.inc();
       payload.borrow(ctx_.lookup(wr.sg_list[0].lkey)->at(wr.sg_list[0].addr));
     } else {
       gather_sges(ctx_, wr.sg_list.data(), wr.sg_list.size(),
                   payload.stage(total, tune.payload_pool));
-      if (!zc_eligible)
-        (payload.pool_hit() ? hub.payload_pool_hits : hub.payload_pool_misses)
-            .inc();
+      (payload.pool_hit() ? hub.payload_pool_hits : hub.payload_pool_misses)
+          .inc();
     }
   }
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
@@ -77,7 +76,7 @@ class QueuePair {
   // Failure observability: transport retransmissions performed and WRs
   // (send or recv) flushed with kWrFlushedError.
   std::uint64_t retransmits() const {
-    return retransmits_.load(std::memory_order_relaxed);
+    return retransmits_;
   }
   std::uint64_t flushed_wrs() const { return flushed_wrs_; }
 
@@ -146,9 +145,8 @@ class QueuePair {
   std::uint64_t ops_completed_ = 0;
   std::uint64_t bytes_completed_ = 0;
   // Bumped wherever a drop is discovered (response-leg retransmits count
-  // against the requester QP but fire on the responder's lane), so this
-  // is the one QP statistic that needs to be atomic.
-  std::atomic<std::uint64_t> retransmits_{0};
+  // against the requester QP but fire on the responder's lane).
+  std::uint64_t retransmits_ = 0;
   std::uint64_t flushed_wrs_ = 0;
   // Post-order counter feeding WorkRequest::trace_seq — the tracer's
   // per-WR identity (wr_id is app-owned and may repeat). Bumped whether

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstring>
 
 #include "apps/hashtable/hashtable.hpp"
@@ -176,9 +176,9 @@ TEST(HashTableThroughput, OptimizationLadderOrdering) {
     const std::uint64_t ops = 800;  // per pipeline worker
     std::vector<std::unique_ptr<ht::FrontEnd>> workers;
     sim::CountdownLatch done(tb.eng, fes * pipeline);
-    // Workers finish on their front-end machines' lanes (any shard); max
-    // commutes, so a relaxed CAS-max is shard-invariant.
-    std::atomic<sim::Time> end{0};
+    // Workers finish on their front-end machines' lanes; the run ends at
+    // the latest finish.
+    sim::Time end = 0;
     for (std::uint32_t i = 0; i < fes; ++i) {
       workers.push_back(
           table.add_front_end(*tb.ctx[1 + i % 7], (i / 7) % 2));
@@ -186,16 +186,12 @@ TEST(HashTableThroughput, OptimizationLadderOrdering) {
         auto loop = [](Testbed& t, ht::FrontEnd& f, const ht::Config& c,
                        std::uint32_t id, std::uint64_t n,
                        sim::CountdownLatch& d,
-                       std::atomic<sim::Time>& e) -> sim::Task {
+                       sim::Time& e) -> sim::Task {
           rdmasem::wl::ZipfGenerator zipf(c.num_keys, 0.99, 100 + id);
           const auto v = value_for(id, c.value_size);
           for (std::uint64_t i2 = 0; i2 < n; ++i2)
             co_await f.put(zipf.next(), v);
-          const sim::Time now = t.eng.now();
-          sim::Time prev = e.load(std::memory_order_relaxed);
-          while (prev < now && !e.compare_exchange_weak(
-                                   prev, now, std::memory_order_relaxed)) {
-          }
+          e = std::max(e, t.eng.now());
           d.count_down();
           // Write-behind tail drains outside the measured window.
           if (d.remaining() == 0) co_await f.drain();
@@ -206,7 +202,7 @@ TEST(HashTableThroughput, OptimizationLadderOrdering) {
     }
     tb.eng.run();
     return fes * pipeline * ops /
-           sim::to_us(end.load(std::memory_order_relaxed));
+           sim::to_us(end);
   };
   const double basic = mops_for(false, false, 16);
   const double numa = mops_for(true, false, 16);

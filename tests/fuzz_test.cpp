@@ -209,10 +209,9 @@ TEST(SimStress, ResourceConservationLaw) {
 // EventQueue differential fuzz: the calendar queue must dispatch in exactly
 // (at, seq) order — same timestamps, smaller key on ties — across
 // same-timestamp pushes, ring-window pushes, overflow pushes and
-// run_until-style clock parking. Keys are lane-packed like the parallel
-// engine's ((origin_lane << 48) | per_lane_seq), so push order at one
-// timestamp is NOT key order — exactly the situation cross-shard mailbox
-// merges produce.
+// run_until-style clock parking. Keys are lane-packed like the engine's
+// ((origin_lane << 48) | per_lane_seq), so push order at one timestamp is
+// NOT key order — a later push from a lower lane sorts first.
 
 namespace {
 
@@ -242,7 +241,7 @@ TEST_P(EventQueueDifferential, MatchesReferenceHeapOrder) {
   const auto push = [&](sim::Time at) {
     if (at < now) at = now;
     // Pack a random origin lane above the per-push counter: unique keys
-    // whose order differs from push order, as in cross-shard merges.
+    // whose order differs from push order.
     const std::uint64_t key = (rng.uniform(4) << 48) | seq;
     q.push(sim::Event{at, key, {}, sim::InlineFn{}});
     ref.push(RefEvent{at, key});

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -177,4 +178,41 @@ TEST(Rng, ReseedReproduces) {
   r.next();
   r.reseed(5);
   EXPECT_EQ(r.next(), a);
+}
+
+// Per-pair lookahead: the virtual latency settle() and the home-lane sync
+// primitives charge for a cross-lane hop, read back from the lane
+// topology's group matrix.
+TEST(EpochTopology, PerPairLookaheadReadsBackGroupMatrix) {
+  // Two leaf groups of two lanes each (driver rides group 0), with an
+  // ASYMMETRIC cross-group matrix: group 0 -> 1 is cheaper than 1 -> 0.
+  sim::LaneTopology topo;
+  topo.groups = 2;
+  topo.lane_group = {0, 0, 1, 1};
+  topo.group_latency = {sim::ns(200), sim::ns(500), sim::ns(700),
+                        sim::ns(200)};
+  sim::Engine eng;
+  eng.configure_lanes(4, topo);
+  // Intra-group pairs see the diagonal; cross-group pairs the off-diagonal
+  // for their direction.
+  EXPECT_EQ(eng.lookahead(0, 1), sim::ns(200));
+  EXPECT_EQ(eng.lookahead(2, 3), sim::ns(200));
+  EXPECT_EQ(eng.lookahead(0, 2), sim::ns(500));
+  EXPECT_EQ(eng.lookahead(1, 3), sim::ns(500));
+  EXPECT_EQ(eng.lookahead(2, 0), sim::ns(700));
+  EXPECT_EQ(eng.lookahead(3, 1), sim::ns(700));
+}
+
+TEST(EpochTopology, UniformTopologyCollapsesToGlobalLookahead) {
+  sim::Engine eng;
+  eng.configure_lanes(5);
+  eng.set_lookahead(sim::ns(300));
+  for (std::uint32_t a = 0; a < 5; ++a)
+    for (std::uint32_t b = 0; b < 5; ++b)
+      EXPECT_EQ(eng.lookahead(a, b), sim::ns(300));
+  // Set before configure_lanes, the uniform latency survives it.
+  sim::Engine early;
+  early.set_lookahead(sim::ns(300));
+  early.configure_lanes(3);
+  EXPECT_EQ(early.lookahead(0, 2), sim::ns(300));
 }
