@@ -4,11 +4,11 @@
 // construction cannot regress when the scheduler gets slower. This binary
 // is the host-side complement: it times the event loop with
 // std::chrono::steady_clock and reports events/sec, so a regression in the
-// calendar queue, InlineFn dispatch, or the coroutine frame pool shows up
+// calendar queue, the callback slab, or the coroutine frame pool shows up
 // as a number CI can gate on (scripts/perf_gate.py).
 //
 // Workloads:
-//   dispatch  — 64 self-rescheduling actors with a tiered delay mix
+//   dispatch  — 4096 self-rescheduling actors with a tiered delay mix
 //               (immediate / intra-bucket / overflow) driven through BOTH
 //               the current sim::Engine and an embedded copy of the
 //               pre-calendar-queue engine (binary heap of std::function
@@ -32,12 +32,19 @@
 //               exactly zero.
 //   e2e_shuffle — fig15-style small all-to-all shuffle timed end to end.
 //
+// The two gated ratios (speedup/dispatch, speedup/datapath) are each the
+// median of kRatioPairs interleaved (fast, legacy) pairs, one ratio per
+// pair; every pair's ratio is also reported under speedup_trial/<name>/<i>
+// so scripts/perf_gate.py can print the spread. The dispatch and datapath
+// throughput rows are the best of each side over those pairs.
+//
 // Rows land in BENCH_selfbench_engine.json (rdmasem-bench-v1 schema; the
 // `mops` field carries millions of events per second, or the raw ratio for
-// the speedup row). Wall-clock numbers are machine-dependent: the checked
+// the speedup rows). Wall-clock numbers are machine-dependent: the checked
 // in bench/selfbench_baseline.json is compared with a tolerance, and the
-// speedup row is the portable criterion. See docs/PERF.md.
+// speedup rows are the portable criterion. See docs/PERF.md.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -197,6 +204,45 @@ double best_of(int n, Fn&& measure) {
   double best = 0;
   for (int i = 0; i < n; ++i) best = std::max(best, measure());
   return best;
+}
+
+// An in-run ratio gate compares two sides timed on the same host. Timing
+// each side best-of-N in two separate blocks lets a noisy stretch land on
+// one side only; instead the sides alternate in kRatioPairs (fast, legacy)
+// pairs, each pair yields one ratio, and the gated ratio is the median of
+// those, which one disturbed pair cannot move. Every pair's ratio is
+// reported too (series "speedup_trial"), so the gate can print the spread.
+constexpr int kRatioPairs = 9;
+
+struct PairedRatio {
+  double fast_best = 0;    // best fast-side throughput over all pairs
+  double legacy_best = 0;  // best legacy-side throughput over all pairs
+  double median = 0;       // median of the per-pair fast/legacy ratios
+  std::vector<double> ratios;
+};
+
+template <typename Fast, typename Legacy>
+PairedRatio paired_ratio(Fast&& fast, Legacy&& legacy) {
+  PairedRatio r;
+  for (int i = 0; i < kRatioPairs; ++i) {
+    // Alternate which side runs first, so neither always gets the warmer
+    // caches.
+    double f = 0, l = 0;
+    if (i % 2 == 0) {
+      f = fast();
+      l = legacy();
+    } else {
+      l = legacy();
+      f = fast();
+    }
+    r.fast_best = std::max(r.fast_best, f);
+    r.legacy_best = std::max(r.legacy_best, l);
+    r.ratios.push_back(f / l);
+  }
+  std::vector<double> sorted = r.ratios;
+  std::sort(sorted.begin(), sorted.end());
+  r.median = sorted[sorted.size() / 2];
+  return r;
 }
 
 // Self-rescheduling actor: every firing draws the next delay from a private
@@ -370,23 +416,35 @@ double add(const char* workload, const char* engine, double mev) {
   return mev;
 }
 
+// Records a paired ratio: its median as the gated speedup/<name> point,
+// every pair's ratio as speedup_trial/<name>/<i>.
+void add_ratio(const std::string& name, const char* label,
+               const PairedRatio& r) {
+  bench::point_mops("speedup", name, r.median);
+  collector.add({"speedup", label, util::fmt(r.median)});
+  for (std::size_t i = 0; i < r.ratios.size(); ++i)
+    bench::point_mops("speedup_trial", name + "/" + std::to_string(i),
+                      r.ratios[i]);
+}
+
 void BM_selfbench(benchmark::State& state) {
   double legacy_mev = 0, calendar_mev = 0, coro_mev = 0;
   double micro_mev = 0, shuffle_mev = 0;
-  double dp_fast = 0, dp_legacy = 0;
+  PairedRatio dispatch, dp;
   std::uint64_t dp_allocs = 0;
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
 
-    legacy_mev = add("dispatch", "legacy", best_of(3, [] {
-      return dispatch_mevents_per_sec<legacy::Engine>(dispatch_budget());
-    }));
-    calendar_mev = add("dispatch", "calendar", best_of(3, [] {
-      return dispatch_mevents_per_sec<sim::Engine>(dispatch_budget());
-    }));
-    bench::point_mops("speedup", "dispatch", calendar_mev / legacy_mev);
-    collector.add({"speedup", "calendar/legacy",
-                   util::fmt(calendar_mev / legacy_mev)});
+    dispatch = paired_ratio(
+        [] {
+          return dispatch_mevents_per_sec<sim::Engine>(dispatch_budget());
+        },
+        [] {
+          return dispatch_mevents_per_sec<legacy::Engine>(dispatch_budget());
+        });
+    legacy_mev = add("dispatch", "legacy", dispatch.legacy_best);
+    calendar_mev = add("dispatch", "calendar", dispatch.fast_best);
+    add_ratio("dispatch", "calendar/legacy (median pair)", dispatch);
 
     coro_mev = add("coro", "calendar", best_of(3, [] {
       return coro_mevents_per_sec(coro_tasks(), coro_hops());
@@ -401,15 +459,11 @@ void BM_selfbench(benchmark::State& state) {
       return static_cast<double>(rig.rig.eng.events_processed()) /
              secs_since(w0) / 1e6;
     }));
-    dp_fast = add("datapath", "fast", best_of(2, [] {
-      return datapath_mwrs_per_sec(true);
-    }));
-    dp_legacy = add("datapath", "legacy", best_of(2, [] {
-      return datapath_mwrs_per_sec(false);
-    }));
-    bench::point_mops("speedup", "datapath", dp_fast / dp_legacy);
-    collector.add({"speedup", "datapath fast/legacy",
-                   util::fmt(dp_fast / dp_legacy)});
+    dp = paired_ratio([] { return datapath_mwrs_per_sec(true); },
+                      [] { return datapath_mwrs_per_sec(false); });
+    add("datapath", "fast", dp.fast_best);
+    add("datapath", "legacy", dp.legacy_best);
+    add_ratio("datapath", "datapath fast/legacy (median pair)", dp);
     dp_allocs = datapath_steady_allocs();
     bench::point_mops("datapath_allocs", "steady",
                       static_cast<double>(dp_allocs));
@@ -437,13 +491,13 @@ void BM_selfbench(benchmark::State& state) {
   }
   state.counters["legacy_Mev"] = legacy_mev;
   state.counters["calendar_Mev"] = calendar_mev;
-  state.counters["speedup"] = calendar_mev / legacy_mev;
+  state.counters["speedup"] = dispatch.median;
   state.counters["coro_Mev"] = coro_mev;
   state.counters["e2e_micro_Mev"] = micro_mev;
   state.counters["e2e_shuffle_Mev"] = shuffle_mev;
-  state.counters["datapath_fast_MWRs"] = dp_fast;
-  state.counters["datapath_legacy_MWRs"] = dp_legacy;
-  state.counters["datapath_speedup"] = dp_legacy > 0 ? dp_fast / dp_legacy : 0;
+  state.counters["datapath_fast_MWRs"] = dp.fast_best;
+  state.counters["datapath_legacy_MWRs"] = dp.legacy_best;
+  state.counters["datapath_speedup"] = dp.median;
   state.counters["datapath_steady_allocs"] = static_cast<double>(dp_allocs);
 }
 

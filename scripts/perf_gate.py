@@ -12,9 +12,11 @@ bench/selfbench_engine) and fails when the scheduler hot path got slower:
      primary criterion. The verbs datapath has a second in-run ratio:
      speedup/datapath (tuned vs legacy datapath on the mixed-SGE
      write/read storm) must stay above --min-datapath-speedup (default
-     1.5x). Alongside it, the datapath_allocs/steady point must be
-     exactly 0: the steady-state single-SGE hot path is not allowed to
-     touch the heap.
+     1.5x). Each ratio is the median of the selfbench's interleaved
+     (fast, legacy) pairs; the per-pair ratios (series speedup_trial)
+     print as the spread. Alongside it, the datapath_allocs/steady point
+     must be exactly 0: the steady-state single-SGE hot path is not
+     allowed to touch the heap.
   2. Every workload's throughput, NORMALIZED by the in-run legacy
      dispatch number (which anchors how fast the host is), must stay
      within --tolerance (default 0.20) of the checked-in baseline
@@ -178,7 +180,7 @@ def main():
     workloads = {
         f"{series}/{x}": mops
         for (series, x), mops in sorted(points.items())
-        if series not in ("speedup", "datapath_allocs")
+        if series not in ("speedup", "speedup_trial", "datapath_allocs")
         and (series, x) != ("dispatch", "legacy")
     }
     normalized = {k: v / legacy for k, v in workloads.items()}
@@ -217,6 +219,15 @@ def main():
         die(f"{args.baseline}: unexpected schema {base.get('schema')!r}")
 
     failures = []
+
+    for name in ("dispatch", "datapath"):
+        trials = [mops for (series, x), mops in sorted(points.items())
+                  if series == "speedup_trial" and x.startswith(name + "/")]
+        if trials:
+            print(f"perf_gate: {name} ratio per pair: "
+                  + " ".join(f"{t:.2f}" for t in trials)
+                  + f" (min {min(trials):.2f}, max {max(trials):.2f}, "
+                  f"{len(trials)} pairs)")
 
     print(f"perf_gate: dispatch speedup calendar/legacy = {speedup:.2f}x "
           f"(floor {args.min_speedup:.2f}x)")

@@ -19,6 +19,11 @@ It prints as a single line, e.g.
 
   trajectory: 22 benches ok, 0 failed, 214 points, 131 rows, 418.2s wall
 
+The row names the source tree the binaries were built from: the git
+commit of the build's CMAKE_HOME_DIRECTORY and whether that tree had
+uncommitted changes ("dirty"), so rows measured before a change is
+committed still say what they measured.
+
 The row is appended in a committed format (schema rdmasem-trajectory-v1,
 one JSON object per line) to bench/trajectory.jsonl, so the battery
 accumulates a perf history across PRs instead of overwriting it. Point
@@ -60,6 +65,33 @@ def discover(bench_dir, with_selfbench):
                                           entry == "selfbench_engine"):
             names.append(entry)
     return names
+
+
+def source_revision(builddir):
+    """-> (commit, dirty) of the source tree `builddir` was configured
+    from, or (None, None) when it cannot be told."""
+    src = None
+    try:
+        with open(os.path.join(builddir, "CMakeCache.txt"),
+                  encoding="utf-8") as f:
+            for line in f:
+                if line.startswith("CMAKE_HOME_DIRECTORY:"):
+                    src = line.split("=", 1)[1].strip()
+    except OSError:
+        return None, None
+    if not src:
+        return None, None
+    try:
+        commit = subprocess.run(
+            ["git", "-C", src, "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, check=True).stdout.strip()
+        status = subprocess.run(
+            ["git", "-C", src, "status", "--porcelain",
+             "--untracked-files=no"],
+            capture_output=True, text=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None, None
+    return commit, bool(status.strip())
 
 
 def run_one(bench_dir, out_dir, name, timeout):
@@ -148,9 +180,12 @@ def main():
         points += len(benches[name].get("points", []))
         rows += len(benches[name]["table"].get("rows", []))
 
+    commit, dirty = source_revision(args.builddir)
     trajectory = {
         "schema": TRAJECTORY_SCHEMA,
         "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "commit": commit,
+        "dirty": dirty,
         "benches_ok": len(benches),
         "benches_failed": len(failed),
         "failed": failed,

@@ -311,8 +311,8 @@ Result Shuffle::run() {
   sim::CountdownLatch staged(eng, cfg_.executors);
   const sim::Time start = eng.now();
   // Each executor's coroutine runs on its machine's lane end to end (its
-  // QPs are local, so verb completions resume it on the same lane); that
-  // is what lets the parallel engine spread the mesh across shards.
+  // QPs are local, so verb completions resume it on the same lane), so its
+  // RNG draws and event keys come from that machine's lane.
   if (cfg_.direction == Direction::kPull) {
     for (auto& ex : executors_)
       eng.spawn_on(ex->machine + 1, run_producer(ex.get(), staged));

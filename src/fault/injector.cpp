@@ -5,10 +5,10 @@
 namespace rdmasem::fault {
 
 void FaultInjector::schedule(const FaultPlan& plan) {
-  // One edge event per lane, all keyed by the scheduling lane (the
-  // driver): at equal timestamps those keys sort identically whatever the
-  // shard count, so replica updates interleave with traffic the same way
-  // in serial and parallel runs.
+  // One edge event per lane (each lane keeps its own fault-state
+  // replica), all keyed by the scheduling lane (the driver), so at equal
+  // timestamps replica updates interleave with traffic in one fixed
+  // order.
   const std::uint32_t lanes = lane_count();
   for (const FaultEvent& ev : plan.events) {
     const bool windowed = ev.kind != FaultKind::kCrash &&

@@ -142,11 +142,9 @@ struct ModelParams {
   // single-switch fabric (every pair one crossbar away); > 0 arranges
   // machines into leaf groups of that size under a spine, and cross-leaf
   // messages pay net_spine_hop extra (leaf -> spine -> leaf: one more
-  // crossbar plus two cable segments). Besides modeling racked clusters,
-  // leaves widen the parallel engine's conservative epochs: the
-  // per-(src,dst)-shard lookahead matrix (docs/PERF.md) is derived from
-  // these per-pair latencies, so leaf-aligned shards synchronize at the
-  // cross-leaf latency instead of the global minimum.
+  // crossbar plus two cable segments). The engine's per-lane-pair
+  // lookahead matrix (the cross-lane delay settle() and home-lane sync
+  // primitives charge) is derived from these per-pair latencies.
   std::uint32_t net_machines_per_leaf = 0;
   Duration net_spine_hop = ns(300);
 
@@ -203,8 +201,8 @@ struct ModelParams {
   // One-way propagation + switching latency between two machines' NICs
   // (the serialization-free part of a message's flight time). This is the
   // per-pair quantity both the fabric's transit hop and the engine's
-  // lookahead matrix are built from — keeping them one function is what
-  // makes the conservative-epoch bound airtight.
+  // lookahead matrix are built from, so a fabric hop never undercuts the
+  // cross-lane latency the engine prices for the same pair.
   Duration hop_latency(std::uint32_t src, std::uint32_t dst) const {
     Duration d = net_propagation + net_switch_hop;
     if (leaf_of(src) != leaf_of(dst)) d += net_spine_hop;

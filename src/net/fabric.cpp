@@ -15,32 +15,26 @@ Fabric::Fabric(sim::Engine& engine, const hw::ModelParams& params,
   link_drops_.assign(n, 0);
 }
 
-sim::TaskT<void> Fabric::transit(MachineId src, PortId sport, MachineId dst,
-                                 PortId dport, std::size_t payload_bytes) {
+Transit Fabric::transit(MachineId src, PortId sport, MachineId dst,
+                        PortId dport, std::size_t payload_bytes) {
   ++messages_;
   bytes_ += payload_bytes;
-  const sim::Duration wire = p_.wire_time(payload_bytes);
+  Transit t;
   if (src == dst && sport == dport) {
     // RNIC-internal loopback: no switch, no cable; just the port turnaround.
-    co_await sim::delay(engine_, p_.net_switch_hop);
-    co_return;
+    t.loopback = true;
+    t.hop = p_.net_switch_hop;
+    return t;
   }
-  sim::Duration hop = p_.hop_latency(src, dst);
-  // Congestion / rerouting faults show up as extra propagation latency;
-  // read on the sender's lane, before the hop.
+  t.wire = p_.wire_time(payload_bytes);
+  t.hop = p_.hop_latency(src, dst);
+  // Congestion / rerouting faults show up as extra propagation latency.
   if (faults_ != nullptr && faults_->current().active())
-    hop += faults_->current().extra_latency(src, sport, dst, dport);
-  co_await tx_link(src, sport).use(wire);
-  // Propagation + switching carries execution from the sender's lane to
-  // the receiver's. hop >= hop_latency(src, dst) >= the engine's per-pair
-  // lookahead for the two lanes, which is what makes the cross-shard
-  // landing legal (the lookahead matrix is derived from the same
-  // hop_latency function). On a bare engine (no cluster lanes) the
-  // destination lane collapses to the current one and this is a plain
-  // delay.
-  const std::uint32_t dst_lane = dst + 1 < engine_.lanes() ? dst + 1 : 0;
-  co_await sim::hop(engine_, dst_lane, hop);
-  co_await rx_link(dst, dport).use(wire);
+    t.hop += faults_->current().extra_latency(src, sport, dst, dport);
+  // On a bare engine (no cluster lanes) the destination lane collapses to
+  // lane 0 and the hop is a plain delay there.
+  t.dst_lane = dst + 1 < engine_.lanes() ? dst + 1 : 0;
+  return t;
 }
 
 bool Fabric::dropped(MachineId src, PortId sport, MachineId dst, PortId dport) {

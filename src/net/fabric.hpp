@@ -8,39 +8,49 @@
 #include "hw/params.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
-#include "sim/task.hpp"
 
 namespace rdmasem::net {
 
 using MachineId = std::uint32_t;
 using PortId = std::uint32_t;
 
+// The wire costs of one message, priced by Fabric::transit. The caller
+// (verbs::QueuePair::deliver) awaits them in order:
+//
+//   tx serialization  tx_link(src, sport).use(wire), on the sender's lane
+//   propagation + one switch hop
+//                     sim::hop(engine, dst_lane, hop): execution migrates
+//                     to the receiver's lane
+//   rx serialization  rx_link(dst, dport).use(wire), on the receiver's lane
+//
+// A loopback message (same machine+port) skips the wire and only pays the
+// port turnaround: sim::delay(engine, hop) on the sender's lane.
+struct Transit {
+  bool loopback = false;
+  sim::Duration wire = 0;
+  sim::Duration hop = 0;
+  std::uint32_t dst_lane = 0;
+};
+
 // Fabric — the InfiniBand network: every (machine, port) has a full-duplex
 // link to one central switch (the paper's 18-port InfiniScale-IV).
 //
-// A message transit models:
-//   tx serialization  (sender link, FIFO resource at link_gbps)
-//   propagation + one switch hop (pure latency)
-//   rx serialization  (receiver link resource)
-//
-// Bandwidth contention on a host link therefore emerges when several QPs
-// mapped to the same port transmit simultaneously.
-//
-// Transit is also where execution migrates between lanes: tx
-// serialization runs on the sender machine's lane, the propagation+switch
-// hop is a sim::hop() onto the receiver's lane, and rx serialization runs
-// there.
+// A message transit models tx serialization on the sender's link (FIFO
+// resource at link_gbps), propagation + one switch hop (pure latency) and
+// rx serialization on the receiver's link, so bandwidth contention on a
+// host link emerges when several QPs mapped to the same port transmit
+// simultaneously.
 class Fabric {
  public:
   Fabric(sim::Engine& engine, const hw::ModelParams& params,
          std::uint32_t machines, std::uint32_t ports_per_machine);
 
-  // Moves `payload_bytes` (plus header overhead) from (src,sport) to
-  // (dst,dport). Resumes the caller when the last byte lands at the
-  // receiver's link. Loopback (same machine+port) is free of wire costs
-  // but still pays switch-less local turnaround.
-  sim::TaskT<void> transit(MachineId src, PortId sport, MachineId dst,
-                           PortId dport, std::size_t payload_bytes);
+  // Accounts one message of `payload_bytes` (plus header overhead) from
+  // (src,sport) to (dst,dport) and prices its legs (see Transit). Call on
+  // the sender's lane at send time: congestion and rerouting faults are
+  // read from that lane's fault replica here, before the tx leg.
+  Transit transit(MachineId src, PortId sport, MachineId dst, PortId dport,
+                  std::size_t payload_bytes);
 
   // Loss decision for a message that just transited src -> dst. Consults
   // the per-link fault state first (loss bursts, dead links, partitions,

@@ -43,16 +43,16 @@ Engine::Engine() : base_seed_(kDefaultSeed) {
 }
 
 Engine::~Engine() {
-  // Unblocked destruction order: drop the event queue first (pending
-  // resumptions reference frames), then destroy surviving frames.
+  // Unblocked destruction order: drop the event queue and the pending
+  // callbacks first (resumptions reference frames; a free slot holds an
+  // empty callable, so every capture is released exactly once), then
+  // destroy surviving frames. Destroying a frame unlinks it, whichever
+  // frame's teardown does it, so the loop always reads a live head:
+  // newest first, so a child spawned by a suspended parent goes before it.
   queue_.clear();
-  // Snapshot before destroying: a frame's locals may unregister other
-  // frames from their destructors.
-  std::vector<void*> live;
-  live.reserve(detached_.frames.size());
-  detached_.frames.for_each([&](void* p) { live.push_back(p); });
-  detached_.frames.clear();
-  for (void* addr : live) std::coroutine_handle<>::from_address(addr).destroy();
+  fns_.clear();
+  free_fns_.clear();
+  while (!detached_.empty()) detached_.front().destroy();
 }
 
 void Engine::configure_lanes(std::uint32_t lanes, LaneTopology topo) {
@@ -110,17 +110,13 @@ bool Engine::try_inline_advance(Time at) {
   // `at >= inline_until` also covers the disabled states: outside a
   // dispatch horizon (run_events) inline_until is 0.
   if (x.eng != this || at >= x.inline_until) return false;
-  if (!queue_.empty()) {
-    const auto top = queue_.peek();
-    // The wakeup event's would-be key: this lane's NEXT seq value (not
-    // consumed — skipping it preserves relative per-lane order, which is
-    // all the (at, key) comparison ever uses). Grant inline only if the
-    // wakeup would be dispatched before everything queued.
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(x.lane) << kLaneShift) |
-        lane_seq_[x.lane];
-    if (top.first < at || (top.first == at && top.second < key)) return false;
-  }
+  // The wakeup event's would-be key: this lane's NEXT seq value (not
+  // consumed — skipping it preserves relative per-lane order, which is
+  // all the (at, key) comparison ever uses). Grant inline only if the
+  // wakeup would be dispatched before everything queued.
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(x.lane) << kLaneShift) | lane_seq_[x.lane];
+  if (queue_.has_before(at, key)) return false;
   // Equivalent to pop + dispatch of the wakeup: the clock lands on `at`
   // and every semantic resumption counts exactly once, granted inline or
   // dispatched.
@@ -140,8 +136,7 @@ void Engine::run_loop(Time end, Time inline_until) {
   detail::t_exec = {this, 0, inline_wakeups_ ? inline_until : 0};
   while (!queue_.empty() &&
          (end == kNoDeadline || queue_.next_time() < end)) {
-    Event ev = queue_.pop();
-    dispatch(ev);
+    dispatch(queue_.pop());
   }
   detail::t_exec = saved;
   if (prof_) {
@@ -174,8 +169,7 @@ std::uint64_t Engine::run_events(std::uint64_t max_events) {
   const detail::ExecContext saved = detail::t_exec;
   detail::t_exec = {this, 0, 0};
   for (; n < max_events && !queue_.empty(); ++n) {
-    Event ev = queue_.pop();
-    dispatch(ev);
+    dispatch(queue_.pop());
   }
   detail::t_exec = saved;
   return n;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/inline_fn.hpp"
 #include "sim/lane.hpp"
 #include "sim/rng.hpp"
 #include "sim/task.hpp"
@@ -252,30 +253,53 @@ class Engine {
   template <typename F>
   void schedule_from(std::uint32_t origin, std::uint32_t lane, Time at,
                      F&& fn) {
-    push_event(lane, Event{at < now_ ? now_ : at, key_for(origin), nullptr,
-                           InlineFn(std::forward<F>(fn)), lane});
+    push_event(Event{at < now_ ? now_ : at, key_for(origin),
+                     store_fn(std::forward<F>(fn)), lane, EventKind::kCall});
   }
   void resume_from(std::uint32_t origin, std::uint32_t lane, Time at,
                    std::coroutine_handle<> h) {
-    push_event(lane, Event{at < now_ ? now_ : at, key_for(origin), h,
-                           InlineFn{}, lane});
+    push_event(Event{at < now_ ? now_ : at, key_for(origin),
+                     reinterpret_cast<std::uintptr_t>(h.address()), lane,
+                     EventKind::kResume});
   }
-  void push_event(std::uint32_t target_lane, Event&& ev) {
-    RDMASEM_CHECK_MSG(target_lane < lanes_, "event lane out of range");
-    queue_.push(std::move(ev));
+  void push_event(const Event& ev) {
+    RDMASEM_CHECK_MSG(ev.exec_lane < lanes_, "event lane out of range");
+    queue_.push(ev);
+  }
+
+  // Parks a callback in the slab and returns its slot. Freed slots are
+  // reused most-recent-first, so the slab grows only when the number of
+  // pending callbacks reaches a new high-water mark.
+  template <typename F>
+  std::uint64_t store_fn(F&& fn) {
+    if (free_fns_.empty()) {
+      fns_.emplace_back(std::forward<F>(fn));
+      return fns_.size() - 1;
+    }
+    const std::uint32_t slot = free_fns_.back();
+    free_fns_.pop_back();
+    fns_[slot] = InlineFn(std::forward<F>(fn));
+    return slot;
   }
 
   // Runs one popped event: the clock lands on its timestamp and the exec
   // context moves to its lane. The caller has set detail::t_exec.eng.
-  void dispatch(Event& ev) {
+  void dispatch(const Event& ev) {
     now_ = ev.at;
     ++processed_;
     detail::t_exec.lane = ev.exec_lane;
-    if (ev.handle) {
-      ev.handle.resume();
-    } else {
-      ev.fn();
+    if (ev.kind == EventKind::kResume) {
+      std::coroutine_handle<>::from_address(
+          reinterpret_cast<void*>(static_cast<std::uintptr_t>(ev.target)))
+          .resume();
+      return;
     }
+    // Moved out before the call: the callback may schedule callbacks of
+    // its own, which can reuse this slot or grow the slab.
+    const auto slot = static_cast<std::uint32_t>(ev.target);
+    InlineFn fn = std::move(fns_[slot]);
+    free_fns_.push_back(slot);
+    fn();
   }
   // Dispatches events while the queue's next timestamp is below `end`
   // (exclusive; kNoDeadline = until empty, skipping the peek), with
@@ -286,6 +310,10 @@ class Engine {
   static constexpr Time kNoDeadline = ~Time{0};
 
   EventQueue queue_;
+  // Callback slab: kCall events carry an index into fns_; free_fns_ holds
+  // the empty slots.
+  std::vector<InlineFn> fns_;
+  std::vector<std::uint32_t> free_fns_;
   Time now_ = 0;
   std::uint64_t processed_ = 0;
   DetachedRegistry detached_;

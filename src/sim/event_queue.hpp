@@ -2,39 +2,54 @@
 
 #include <algorithm>
 #include <bit>
-#include <coroutine>
 #include <cstdint>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
-#include "sim/inline_fn.hpp"
 #include "sim/time.hpp"
 #include "util/assert.hpp"
 
 namespace rdmasem::sim {
 
-// One scheduled engine event. `handle` set => coroutine resumption;
-// otherwise `fn` is invoked. (at, seq) is the total dispatch order:
-// earlier time first, then seq. The engine packs seq as
-// (origin_lane << 48) | per_lane_seq, so the order is a pure function of
-// which lane scheduled the event and in what per-lane order.
+// What a dispatched event does with its `target`.
+enum class EventKind : std::uint32_t {
+  kResume,  // target = address of a suspended coroutine frame
+  kCall,    // target = the engine's callback-slab slot (Engine::fns_)
+};
+
+// One scheduled engine event: a 32-byte trivially copyable record, so the
+// calendar ring, cursor-bucket inserts, bucket sorts and the overflow heap
+// move plain words and never run a constructor or destructor. (at, seq)
+// is the total dispatch order: earlier time first, then seq. The engine
+// packs seq as (origin_lane << 48) | per_lane_seq, so the order is a pure
+// function of which lane scheduled the event and in what per-lane order.
 // `exec_lane` is the lane the event runs on (differs from the origin
 // lane only for cross-lane hops/wakes).
 struct Event {
   Time at = 0;
   std::uint64_t seq = 0;
-  std::coroutine_handle<> handle{};
-  InlineFn fn;
+  std::uint64_t target = 0;
   std::uint32_t exec_lane = 0;
+  EventKind kind = EventKind::kResume;
 };
+static_assert(sizeof(Event) == 32);
+static_assert(std::is_trivially_copyable_v<Event>);
 
-inline bool event_before(const Event& a, const Event& b) {
-  return a.at != b.at ? a.at < b.at : a.seq < b.seq;
-}
+// (at, seq) order as comparator objects rather than function pointers, so
+// the bucket sorts, cursor-bucket inserts and heap sifts inline them.
+struct EventBefore {
+  bool operator()(const Event& a, const Event& b) const {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  }
+};
 // std::*_heap comparator for a min-heap on (at, seq).
-inline bool event_after(const Event& a, const Event& b) {
-  return event_before(b, a);
-}
+struct EventAfter {
+  bool operator()(const Event& a, const Event& b) const {
+    return EventBefore{}(b, a);
+  }
+};
+inline constexpr EventBefore event_before{};
+inline constexpr EventAfter event_after{};
 
 // EventQueue — a two-level calendar queue tuned for discrete-event
 // simulation of RNIC/fabric traffic, replacing the seed's global binary
@@ -83,8 +98,8 @@ class EventQueue {
   // first-time collision of k events in one 8 ns bucket (the phase of a
   // pipeline drifts across buckets over time) grows that bucket's vector
   // 0->1->2->..., which shows up as rare-but-unbounded-tail allocations
-  // in the selfbench datapath probe. ~256 x 8 x sizeof(Event) = ~130 KB
-  // per queue, paid once at construction.
+  // in the selfbench datapath probe. 256 x 8 x sizeof(Event) = 64 KB per
+  // queue, paid once at construction.
   static constexpr std::size_t kInitialBucketCap = 8;
 
   EventQueue() {
@@ -102,7 +117,7 @@ class EventQueue {
 
   // `ev.seq` must be unique among coexisting events; no push-order
   // constraint beyond that.
-  void push(Event&& ev) {
+  void push(const Event& ev) {
     ++size_;
     if (size_ > max_size_) max_size_ = size_;
     const std::uint64_t slot = ev.at >> kSlotShift;
@@ -111,20 +126,21 @@ class EventQueue {
       mark_occupied(static_cast<std::uint32_t>(slot & kIndexMask));
       ++ring_count_;
       if (slot != cur_slot_ || b.empty() || event_before(b.back(), ev)) {
-        b.push_back(std::move(ev));
+        b.push_back(ev);
       } else {
         // The cursor bucket is kept sorted from head_ (pop reads its
         // minimum at head_); keep the live region ordered.
         b.insert(std::upper_bound(b.begin() + head_, b.end(), ev,
                                   event_before),
-                 std::move(ev));
+                 ev);
       }
       return;
     }
-    // Past the horizon — or (rarely) behind the cursor, which happens
-    // only after run_until() parked the clock below the next event: the
-    // overflow heap handles both, and pop() considers its top directly.
-    overflow_.push_back(std::move(ev));
+    // Past the horizon — or behind the cursor, which happens after
+    // run_until() parked the clock below the next event, or after the
+    // cursor re-anchored at the overflow minimum: the overflow heap
+    // handles both, and pop() considers its top directly.
+    overflow_.push_back(ev);
     std::push_heap(overflow_.begin(), overflow_.end(), event_after);
   }
 
@@ -143,13 +159,27 @@ class EventQueue {
     return peek_best()->at;
   }
 
-  // (at, seq) key of the next event in dispatch order. Requires !empty().
-  // Used by the engine's inline-wakeup check (try_inline_advance).
-  std::pair<Time, std::uint64_t> peek() {
-    RDMASEM_CHECK_MSG(size_ > 0, "peek on empty event queue");
-    prepare();
-    const Event* best = peek_best();
-    return {best->at, best->seq};
+  // Whether an event ordered before (at, seq) is queued. The engine's
+  // inline-wakeup check (try_inline_advance) asks this in the middle of a
+  // dispatch, with `at` >= the clock. It leaves the cursor where it is
+  // unless the answer lies inside the next occupied bucket: advancing it
+  // past the clock here would send the wakeups this dispatch is about to
+  // push, which land between the clock and that bucket, behind the cursor
+  // and into the overflow heap.
+  bool has_before(Time at, std::uint64_t seq) {
+    const Event key{at, seq};
+    if (!overflow_.empty() && event_before(overflow_.front(), key))
+      return true;
+    if (ring_count_ == 0) return false;
+    if (buckets_[cur_index()].empty()) {
+      // The ring minimum sits in the next occupied bucket; its slot alone
+      // settles the answer unless `at` falls in that same slot.
+      const std::uint64_t next = cur_slot_ + next_occupied_distance();
+      const std::uint64_t slot = at >> kSlotShift;
+      if (next != slot) return next < slot;
+      advance_cursor();
+    }
+    return event_before(buckets_[cur_index()][head_], key);
   }
 
   // Drops every queued event (engine teardown). Capacities are kept.
@@ -211,10 +241,10 @@ class EventQueue {
       while (!overflow_.empty() &&
              (overflow_.front().at >> kSlotShift) - cur_slot_ < kBuckets) {
         std::pop_heap(overflow_.begin(), overflow_.end(), event_after);
-        Event ev = std::move(overflow_.back());
+        const Event ev = overflow_.back();
         overflow_.pop_back();
         const auto slot = ev.at >> kSlotShift;
-        buckets_[slot & kIndexMask].push_back(std::move(ev));
+        buckets_[slot & kIndexMask].push_back(ev);
         mark_occupied(static_cast<std::uint32_t>(slot & kIndexMask));
         ++ring_count_;
       }
@@ -222,7 +252,12 @@ class EventQueue {
       return;
     }
     if (!buckets_[cur_index()].empty()) return;
-    // Advance to the next occupied bucket (bitmap scan, word at a time).
+    advance_cursor();
+  }
+
+  // Distance from the (empty) cursor bucket to the next occupied one, by
+  // a bitmap scan a word at a time. Requires ring_count_ > 0.
+  std::uint32_t next_occupied_distance() const {
     const std::uint32_t ci = cur_index();
     std::uint32_t pos = (ci + 1) & kIndexMask;
     std::uint32_t remaining = kBuckets - 1;
@@ -235,20 +270,25 @@ class EventQueue {
       if (bits != 0) {
         const std::uint32_t hit = pos + static_cast<std::uint32_t>(
                                             std::countr_zero(bits));
-        const std::uint32_t dist = (hit - ci) & kIndexMask;
-        cur_slot_ += dist;
-        open_bucket();
-        return;
+        return (hit - ci) & kIndexMask;
       }
       pos = (pos + span) & kIndexMask;
       remaining -= span;
     }
     RDMASEM_CHECK_MSG(false, "ring_count_ > 0 but no occupied bucket");
+    return 0;
+  }
+
+  // Moves the cursor from its empty bucket to the next occupied one and
+  // opens it.
+  void advance_cursor() {
+    cur_slot_ += next_occupied_distance();
+    open_bucket();
   }
 
   Event pop_ring() {
     auto& b = buckets_[cur_index()];
-    Event ev = std::move(b[head_]);
+    const Event ev = b[head_];
     if (++head_ == b.size()) {
       b.clear();
       head_ = 0;
@@ -260,7 +300,7 @@ class EventQueue {
 
   Event pop_overflow() {
     std::pop_heap(overflow_.begin(), overflow_.end(), event_after);
-    Event ev = std::move(overflow_.back());
+    const Event ev = overflow_.back();
     overflow_.pop_back();
     return ev;
   }

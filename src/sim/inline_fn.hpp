@@ -12,11 +12,13 @@ namespace rdmasem::sim {
 // a fixed small buffer: callables whose captures fit in kInlineBytes are
 // stored in place (no heap traffic on the event hot path); larger ones
 // fall back to a single boxed allocation. Move-only, invoked at most once
-// per dispatch, relocatable (the calendar queue moves events between
-// bucket vectors and heap slots).
+// per dispatch. Scheduled callbacks live in the engine's recycled
+// callback slab (Engine::fns_), never in the event records themselves;
+// the engine moves each one out of its slot to invoke it.
 class InlineFn {
  public:
-  // Sized so Event (at + seq + handle + InlineFn) stays one cache line.
+  // Four words: room for the pointer-and-integer bundles the model's
+  // callbacks capture.
   static constexpr std::size_t kInlineBytes = 32;
 
   InlineFn() = default;
@@ -65,9 +67,9 @@ class InlineFn {
   // Null relocate/destroy entries are fast-path markers: relocate==nullptr
   // means "memcpy the buffer" (true for trivially-relocatable inline
   // callables and for all boxed ones, whose payload is a single pointer);
-  // destroy==nullptr means "nothing to do". The calendar queue's heap
-  // sifts move events many times per dispatch, so skipping the indirect
-  // call there is a measurable share of the hot path.
+  // destroy==nullptr means "nothing to do". Every dispatched callback is
+  // moved out of its slab slot once, so skipping the indirect calls keeps
+  // that move to a memcpy.
   struct Ops {
     void (*invoke)(void*);
     // Move-construct into dst from src, then destroy src.

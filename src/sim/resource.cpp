@@ -12,12 +12,19 @@ Resource::Resource(Engine& engine, std::uint32_t servers, std::string name)
 }
 
 Grant Resource::reserve_grant(Duration service) {
-  std::pop_heap(free_at_.begin(), free_at_.end(), std::greater<>{});
   const Time now = engine_.now();
-  const Time start = std::max(now, free_at_.back());
+  Time start;
+  if (servers_ == 1) {
+    // Every EU, DMA engine, link and memory channel: the heap is one slot.
+    start = std::max(now, free_at_[0]);
+    free_at_[0] = start + service;
+  } else {
+    std::pop_heap(free_at_.begin(), free_at_.end(), std::greater<>{});
+    start = std::max(now, free_at_.back());
+    free_at_.back() = start + service;
+    std::push_heap(free_at_.begin(), free_at_.end(), std::greater<>{});
+  }
   const Time completion = start + service;
-  free_at_.back() = completion;
-  std::push_heap(free_at_.begin(), free_at_.end(), std::greater<>{});
   ++requests_;
   busy_ += service;
   const Duration wait = start - now;

@@ -7,7 +7,6 @@
 
 #include "sim/frame_pool.hpp"
 #include "util/assert.hpp"
-#include "util/ptr_set.hpp"
 
 namespace rdmasem::sim {
 
@@ -27,14 +26,43 @@ template <typename T>
 class TaskT;
 
 // Engine-side registry of live detached coroutine frames, so frames still
-// suspended at engine teardown can be reclaimed. Backed by a flat open-
-// addressing PtrSet: spawn/finish is once per work request, and a
-// node-based set would put one heap allocation on that path.
-struct DetachedRegistry {
-  util::PtrSet frames;
+// suspended at engine teardown can be reclaimed. An intrusive circular
+// list threaded through the promises: spawn links and the frame's
+// destruction unlinks, both O(1) and allocation-free, once per work
+// request on the verbs path.
+struct DetachedLink {
+  DetachedLink* prev = nullptr;  // null while not linked
+  DetachedLink* next = nullptr;
+  void* frame = nullptr;  // the coroutine frame this promise lives in
 
-  void insert(void* p) { frames.insert(p); }
-  void erase(void* p) { frames.erase(p); }
+  bool linked() const { return prev != nullptr; }
+  void unlink() noexcept {
+    prev->next = next;
+    next->prev = prev;
+    prev = next = nullptr;
+  }
+  void destroy() { std::coroutine_handle<>::from_address(frame).destroy(); }
+};
+
+class DetachedRegistry {
+ public:
+  DetachedRegistry() { head_.prev = head_.next = &head_; }
+  DetachedRegistry(const DetachedRegistry&) = delete;
+  DetachedRegistry& operator=(const DetachedRegistry&) = delete;
+
+  // Links at the front, so front() is the most recently spawned frame.
+  void link(DetachedLink& l, void* frame) {
+    l.frame = frame;
+    l.prev = &head_;
+    l.next = head_.next;
+    head_.next->prev = &l;
+    head_.next = &l;
+  }
+  bool empty() const { return head_.next == &head_; }
+  DetachedLink& front() { return *head_.next; }
+
+ private:
+  DetachedLink head_;
 };
 
 namespace detail {
@@ -50,8 +78,7 @@ struct FinalAwaiter {
     const std::coroutine_handle<> cont = p.continuation;
     if (p.detached) {
       if (p.exception) std::terminate();  // bug in a detached simulation task
-      if (p.detached_registry) p.detached_registry->erase(h.address());
-      h.destroy();
+      h.destroy();  // unlinks it from the engine's registry
       return cont ? cont : std::noop_coroutine();
     }
     p.finished = true;
@@ -66,9 +93,17 @@ struct PromiseBase {
   std::exception_ptr exception{};
   bool detached = false;
   bool finished = false;
-  // When detached via Engine::spawn, the engine's registry of live frames
-  // (so still-suspended tasks can be reclaimed when the engine dies).
-  DetachedRegistry* detached_registry = nullptr;
+  // Linked into the engine's registry of live frames while detached via
+  // Engine::spawn (so still-suspended tasks can be reclaimed when the
+  // engine dies); destroying the frame unlinks it.
+  DetachedLink registry_link;
+
+  PromiseBase() = default;
+  PromiseBase(const PromiseBase&) = delete;
+  PromiseBase& operator=(const PromiseBase&) = delete;
+  ~PromiseBase() {
+    if (registry_link.linked()) registry_link.unlink();
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }
@@ -141,8 +176,7 @@ class [[nodiscard]] TaskT {
       DetachedRegistry* registry) {
     RDMASEM_CHECK(h_ != nullptr);
     h_.promise().detached = true;
-    h_.promise().detached_registry = registry;
-    if (registry) registry->insert(h_.address());
+    if (registry) registry->link(h_.promise().registry_link, h_.address());
     return std::exchange(h_, nullptr);
   }
 
@@ -204,8 +238,7 @@ class [[nodiscard]] TaskT<void> {
       DetachedRegistry* registry) {
     RDMASEM_CHECK(h_ != nullptr);
     h_.promise().detached = true;
-    h_.promise().detached_registry = registry;
-    if (registry) registry->insert(h_.address());
+    if (registry) registry->link(h_.promise().registry_link, h_.address());
     return std::exchange(h_, nullptr);
   }
 

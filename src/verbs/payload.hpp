@@ -115,8 +115,8 @@ class PayloadBuf {
   }
   Route route() const { return route_; }
   // Whether this staging route is pool-accelerated (inline arm or pooled
-  // size class) — a pure predicate of (size, pool flag), deterministic
-  // across shard placements, which is what the obs counters require.
+  // size class) — a pure predicate of (size, pool flag), not of free-list
+  // state, so the obs counters it feeds are deterministic.
   bool pool_hit() const { return route_ == Route::kInline || route_ == Route::kPooled; }
 
   void reset() noexcept;

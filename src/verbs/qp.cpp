@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "net/fabric.hpp"
 #include "obs/hub.hpp"
@@ -207,15 +208,54 @@ sim::Duration QueuePair::post_cost(std::size_t n_wrs,
   return d;
 }
 
-sim::TaskT<void> QueuePair::post(WorkRequest wr) {
-  const std::size_t inl = wr.inline_data ? wr.total_length() : 0;
-  const sim::Time t0 = ctx_.engine().now();
-  co_await sim::delay(ctx_.engine(), post_cost(1, inl));
-  obs::Tracer& tr = ctx_.cluster().obs().tracer;
-  if (tr.enabled())
-    tr.span(obs::Stage::kPost, t0, ctx_.engine().now(), wr.wr_id, id_,
-            ctx_.machine().id(), static_cast<std::uint8_t>(wr.opcode));
-  post_send(std::move(wr));
+namespace {
+const WorkRequest& head(const WorkRequest& wr) { return wr; }
+const WorkRequest& head(const std::vector<WorkRequest>& wrs) {
+  return wrs.back();  // the signaled WR execute_batch waits for
+}
+std::size_t count(const WorkRequest&) { return 1; }
+std::size_t count(const std::vector<WorkRequest>& wrs) { return wrs.size(); }
+std::size_t inline_bytes(const WorkRequest& wr) {
+  return wr.inline_data ? wr.total_length() : 0;
+}
+std::size_t inline_bytes(const std::vector<WorkRequest>& wrs) {
+  std::size_t n = 0;
+  for (const auto& wr : wrs) n += inline_bytes(wr);
+  return n;
+}
+}  // namespace
+
+template <typename Wrs>
+bool QueuePair::PostAwaiter<Wrs>::await_ready() {
+  t0 = qp.ctx_.engine().now();
+  cost = qp.post_cost(count(wrs), inline_bytes(wrs));
+  return qp.ctx_.engine().try_inline_delay(cost);
+}
+
+template <typename Wrs>
+void QueuePair::PostAwaiter<Wrs>::await_suspend(std::coroutine_handle<> h) {
+  qp.ctx_.engine().resume_in(cost, h);
+}
+
+template <typename Wrs>
+void QueuePair::PostAwaiter<Wrs>::await_resume() {
+  obs::Tracer& tr = qp.ctx_.cluster().obs().tracer;
+  if (tr.enabled()) {
+    const WorkRequest& wr = head(wrs);
+    tr.span(obs::Stage::kPost, t0, qp.ctx_.engine().now(), wr.wr_id, qp.id_,
+            qp.ctx_.machine().id(), static_cast<std::uint8_t>(wr.opcode));
+  }
+  if constexpr (std::is_same_v<Wrs, WorkRequest>)
+    qp.post_send(std::move(wrs));
+  else
+    qp.post_send_batch(std::move(wrs));
+}
+
+template struct QueuePair::PostAwaiter<WorkRequest>;
+template struct QueuePair::PostAwaiter<std::vector<WorkRequest>>;
+
+QueuePair::PostAwaiter<WorkRequest> QueuePair::post(WorkRequest wr) {
+  return {*this, std::move(wr)};
 }
 
 sim::TaskT<Completion> QueuePair::execute(WorkRequest wr) {
@@ -228,21 +268,14 @@ sim::TaskT<Completion> QueuePair::execute(WorkRequest wr) {
 
 sim::TaskT<Completion> QueuePair::execute_batch(std::vector<WorkRequest> wrs) {
   RDMASEM_CHECK(!wrs.empty());
-  std::size_t inl = 0;
-  for (auto& wr : wrs) {
+  for (auto& wr : wrs)
     if (wr.wr_id == 0) wr.wr_id = ctx_.next_wr_id();
-    if (wr.inline_data) inl += wr.total_length();
-  }
   wrs.back().signaled = true;
   const std::uint64_t wid = wrs.back().wr_id;
-  const sim::Time t0 = ctx_.engine().now();
-  co_await sim::delay(ctx_.engine(), post_cost(wrs.size(), inl));
-  obs::Tracer& tr = ctx_.cluster().obs().tracer;
-  if (tr.enabled())
-    tr.span(obs::Stage::kPost, t0, ctx_.engine().now(), wid, id_,
-            ctx_.machine().id(),
-            static_cast<std::uint8_t>(wrs.back().opcode));
-  post_send_batch(std::move(wrs));
+  // A named awaiter: GCC 12 destroys a braced temporary operand of
+  // co_await twice.
+  PostAwaiter<std::vector<WorkRequest>> posting{*this, std::move(wrs)};
+  co_await posting;
   co_return co_await wait(wid);
 }
 
@@ -253,34 +286,29 @@ QueuePair::Waiter* QueuePair::find_waiter(std::uint64_t wr_id) {
   return nullptr;
 }
 
-sim::TaskT<Completion> QueuePair::wait(std::uint64_t wr_id) {
-  struct Awaiter {
-    QueuePair& qp;
-    std::uint64_t wr_id;
-    bool await_ready() {
-      const Waiter* w = qp.find_waiter(wr_id);
-      return w != nullptr && w->done;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      Waiter* w = qp.find_waiter(wr_id);
-      if (w == nullptr) {
-        qp.waiters_.emplace_back();
-        w = &qp.waiters_.back();
-        w->wr_id = wr_id;
-      }
-      w->handle = h;
-    }
-    Completion await_resume() {
-      Waiter* w = qp.find_waiter(wr_id);
-      RDMASEM_CHECK(w != nullptr && w->done);
-      Completion c = w->result;
-      // Swap-pop erase: slot order carries no meaning, capacity is kept.
-      *w = std::move(qp.waiters_.back());
-      qp.waiters_.pop_back();
-      return c;
-    }
-  };
-  co_return co_await Awaiter{*this, wr_id};
+bool QueuePair::WaitAwaiter::await_ready() const {
+  const Waiter* w = qp.find_waiter(wr_id);
+  return w != nullptr && w->done;
+}
+
+void QueuePair::WaitAwaiter::await_suspend(std::coroutine_handle<> h) {
+  Waiter* w = qp.find_waiter(wr_id);
+  if (w == nullptr) {
+    qp.waiters_.emplace_back();
+    w = &qp.waiters_.back();
+    w->wr_id = wr_id;
+  }
+  w->handle = h;
+}
+
+Completion QueuePair::WaitAwaiter::await_resume() {
+  Waiter* w = qp.find_waiter(wr_id);
+  RDMASEM_CHECK(w != nullptr && w->done);
+  const Completion c = w->result;
+  // Swap-pop erase: slot order carries no meaning, capacity is kept.
+  *w = std::move(qp.waiters_.back());
+  qp.waiters_.pop_back();
+  return c;
 }
 
 void QueuePair::complete(const WorkRequest& wr, Status st, std::uint32_t bytes,
@@ -341,14 +369,14 @@ void QueuePair::complete(const WorkRequest& wr, Status st, std::uint32_t bytes,
 // rc_retransmit_cap) until cfg_.retry_cnt attempts are spent
 // (kInfiniteRetry never gives up). UC/UD get exactly one shot.
 //
-// Fabric::transit carries execution to the destination's lane, and the
-// drop decision is drawn there (destination RNG + fault replica). A
-// retransmit rides the sender's timeout back: hop(src, backoff), which
-// lands at the exact virtual time the serial engine would retransmit at,
-// on the sender's lane. Final failure hops to `home_machine` the same
-// way — the backoff timeout is how the requester learns the leg is dead.
-// All hop widths (backoff >= rc_retransmit = 8us, wire >= 200ns) clear
-// the conservative-epoch lookahead by orders of magnitude.
+// Each attempt runs the legs Fabric::transit prices: tx serialization on
+// the sender's lane, the propagation + switch hop onto the destination's
+// lane, rx serialization there. The drop decision is drawn on the
+// destination's lane (destination RNG + fault replica). A retransmit
+// rides the sender's timeout back: hop(src, backoff) lands on the
+// sender's lane at the virtual time the sender retransmits. Final
+// failure hops to `home_machine` the same way — the backoff timeout is
+// how the requester learns the leg is dead.
 sim::TaskT<bool> QueuePair::deliver(std::uint32_t src_machine,
                                     std::uint32_t sport,
                                     std::uint32_t dst_machine,
@@ -363,7 +391,15 @@ sim::TaskT<bool> QueuePair::deliver(std::uint32_t src_machine,
   const std::uint32_t home_lane = home_machine + 1;
   sim::Duration backoff = P.rc_retransmit;
   for (std::uint32_t attempt = 0;; ++attempt) {
-    co_await fabric.transit(src_machine, sport, dst_machine, dport, bytes);
+    const net::Transit t =
+        fabric.transit(src_machine, sport, dst_machine, dport, bytes);
+    if (t.loopback) {
+      co_await sim::delay(eng, t.hop);
+    } else {
+      co_await fabric.tx_link(src_machine, sport).use(t.wire);
+      co_await sim::hop(eng, t.dst_lane, t.hop);
+      co_await fabric.rx_link(dst_machine, dport).use(t.wire);
+    }
     if (!fabric.dropped(src_machine, sport, dst_machine, dport))
       co_return true;
     if (!reliable ||
@@ -787,7 +823,7 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
         // Snapshot the remote bytes into the frame while still on their
         // owner's lane; the response leg carries them home. READs always
         // stage (never borrow): the source may mutate between here and
-        // the landing, and a borrowed view would race across shards.
+        // the landing, which a borrowed view would observe.
         std::memcpy(payload.stage(total, tune.payload_pool),
                     rmr->at(wr.remote_addr), total);
         (payload.pool_hit() ? hub.payload_pool_hits : hub.payload_pool_misses)

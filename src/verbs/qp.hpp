@@ -58,16 +58,40 @@ class QueuePair {
   // ---- CPU-charged coroutine helpers -----------------------------------
   // CPU cost of posting `n_wrs` WRs with one doorbell.
   sim::Duration post_cost(std::size_t n_wrs, std::size_t inline_bytes = 0) const;
-  sim::TaskT<void> post(WorkRequest wr);
-  sim::TaskT<Completion> execute(WorkRequest wr);
-  // Posts the batch with one doorbell; the last WR is forced signaled and
-  // its completion is returned (earlier WRs keep their own flags).
-  sim::TaskT<Completion> execute_batch(std::vector<WorkRequest> wrs);
+
+  // The one CPU-charged posting step behind post(), execute() and
+  // execute_batch(): the awaiting task pays post_cost for the WRs, the
+  // kPost trace span closes over that interval, then the WRs post
+  // (post_send, or post_send_batch for a doorbell list). An awaiter, not a
+  // task, so posting adds no coroutine frame.
+  template <typename Wrs>  // WorkRequest or std::vector<WorkRequest>
+  struct [[nodiscard]] PostAwaiter {
+    QueuePair& qp;
+    Wrs wrs;
+    sim::Duration cost = 0;
+    sim::Time t0 = 0;
+    bool await_ready();
+    void await_suspend(std::coroutine_handle<> h);
+    void await_resume();
+  };
 
   // Awaits the completion of a specific wr_id. Must be registered before
   // the completion fires, i.e. call via execute()/execute_batch() or
   // register-then-post in the same simulation instant.
-  sim::TaskT<Completion> wait(std::uint64_t wr_id);
+  struct [[nodiscard]] WaitAwaiter {
+    QueuePair& qp;
+    std::uint64_t wr_id;
+    bool await_ready() const;
+    void await_suspend(std::coroutine_handle<> h);
+    Completion await_resume();
+  };
+
+  PostAwaiter<WorkRequest> post(WorkRequest wr);
+  sim::TaskT<Completion> execute(WorkRequest wr);
+  // Posts the batch with one doorbell; the last WR is forced signaled and
+  // its completion is returned (earlier WRs keep their own flags).
+  sim::TaskT<Completion> execute_batch(std::vector<WorkRequest> wrs);
+  WaitAwaiter wait(std::uint64_t wr_id) { return {*this, wr_id}; }
 
   std::uint32_t outstanding() const { return outstanding_; }
   std::uint64_t ops_completed() const { return ops_completed_; }
@@ -112,13 +136,12 @@ class QueuePair {
   // backoff up to cfg_.retry_cnt. Returns false when the leg is lost for
   // good (unreliable transport, or retries exhausted).
   //
-  // Lane contract (the parallel-engine migration protocol): call on the
-  // SOURCE machine's lane. Resumes the caller on the DESTINATION's lane
-  // when it returns true (the payload landed there), and on
-  // `home_machine`'s lane when it returns false (the requester's timeout
-  // is how loss is discovered — home is the machine that owns this WR's
-  // completion: the local machine for request legs, which is `dst` for
-  // response/ACK/NAK legs).
+  // Lane contract: call on the SOURCE machine's lane. Resumes the caller
+  // on the DESTINATION's lane when it returns true (the payload landed
+  // there), and on `home_machine`'s lane when it returns false (the
+  // requester's timeout is how loss is discovered — home is the machine
+  // that owns this WR's completion: the local machine for request legs,
+  // which is `dst` for response/ACK/NAK legs).
   sim::TaskT<bool> deliver(std::uint32_t src_machine, std::uint32_t sport,
                            std::uint32_t dst_machine, std::uint32_t dport,
                            std::size_t bytes, bool reliable,

@@ -211,13 +211,19 @@ TEST(SimStress, ResourceConservationLaw) {
 // same-timestamp pushes, ring-window pushes, overflow pushes and
 // run_until-style clock parking. Keys are lane-packed like the engine's
 // ((origin_lane << 48) | per_lane_seq), so push order at one timestamp is
-// NOT key order — a later push from a lower lane sorts first.
+// NOT key order — a later push from a lower lane sorts first. Records mix
+// both kinds (frame-address resumptions and callback-slab slots) with
+// random exec lanes, and every field must come back out unchanged. Every
+// step also checks has_before(), the engine's inline-wakeup query.
 
 namespace {
 
 struct RefEvent {
   sim::Time at;
   std::uint64_t seq;
+  std::uint64_t target;
+  std::uint32_t exec_lane;
+  sim::EventKind kind;
 };
 struct RefLater {
   bool operator()(const RefEvent& a, const RefEvent& b) const {
@@ -243,8 +249,17 @@ TEST_P(EventQueueDifferential, MatchesReferenceHeapOrder) {
     // Pack a random origin lane above the per-push counter: unique keys
     // whose order differs from push order.
     const std::uint64_t key = (rng.uniform(4) << 48) | seq;
-    q.push(sim::Event{at, key, {}, sim::InlineFn{}});
-    ref.push(RefEvent{at, key});
+    // A resumption carries an 8-byte-aligned frame address, a callback a
+    // small slot index.
+    const bool resume = rng.uniform(2) == 0;
+    const std::uint64_t target =
+        resume ? 0x7f0000000000ull + rng.uniform(1u << 20) * 64
+               : rng.uniform(4096);
+    const auto lane = static_cast<std::uint32_t>(rng.uniform(16));
+    const sim::EventKind kind =
+        resume ? sim::EventKind::kResume : sim::EventKind::kCall;
+    q.push(sim::Event{at, key, target, lane, kind});
+    ref.push(RefEvent{at, key, target, lane, kind});
     ++seq;
   };
   const auto pop_one = [&]() {
@@ -253,6 +268,9 @@ TEST_P(EventQueueDifferential, MatchesReferenceHeapOrder) {
     ref.pop();
     ASSERT_EQ(ev.at, want.at);
     ASSERT_EQ(ev.seq, want.seq);
+    ASSERT_EQ(ev.target, want.target);
+    ASSERT_EQ(ev.exec_lane, want.exec_lane);
+    ASSERT_EQ(ev.kind, want.kind);
     now = ev.at;
   };
 
@@ -286,6 +304,16 @@ TEST_P(EventQueueDifferential, MatchesReferenceHeapOrder) {
     }
     ASSERT_EQ(q.size(), ref.size());
     ASSERT_EQ(q.empty(), ref.empty());
+    // The inline-wakeup query, as the engine asks it mid-dispatch: is
+    // anything queued before (at, key) for some at >= now? It may move
+    // the cursor, so later pushes also cover that state.
+    const sim::Time at = now + (rng.uniform(2) == 0 ? rng.uniform(20000)
+                                                    : rng.uniform(1u << 22));
+    const std::uint64_t key = (rng.uniform(4) << 48) | seq;
+    const bool want = !ref.empty() &&
+                      (ref.top().at < at ||
+                       (ref.top().at == at && ref.top().seq < key));
+    ASSERT_EQ(q.has_before(at, key), want);
   }
   while (!ref.empty()) ASSERT_NO_FATAL_FAILURE(pop_one());
   EXPECT_TRUE(q.empty());

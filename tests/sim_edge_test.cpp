@@ -1,12 +1,17 @@
 // Edge cases of the sim/ primitives that the scheduler overhaul must not
 // disturb: clock parking (run_until landing exactly on an event), bounded
 // dispatch (run_events stopping mid-burst of equal timestamps), engine
-// destruction with parked coroutines, channel fairness/cancellation, and
-// Resource accounting corners.
+// destruction with parked coroutines, the callback slab and the
+// detached-frame registry, channel fairness/cancellation, and Resource
+// accounting corners.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/channel.hpp"
@@ -121,6 +126,215 @@ TEST(EngineEdge, DestructionWithUndispatchedEvents) {
   }
   EXPECT_EQ(fired, 0);
   EXPECT_TRUE(observer.expired());  // capture destroyed with the queue
+}
+
+TEST(EngineEdge, MixedRecordsKeepOrderAcrossRunUntilParking) {
+  // Callbacks and coroutine resumptions interleave at shared timestamps;
+  // chopping the run into run_until windows (parking the clock between
+  // events, and pushing new records of both kinds at the parked clock)
+  // must dispatch exactly what one run() does.
+  auto trace_of = [](bool chopped) {
+    std::vector<std::pair<sim::Time, int>> trace;
+    sim::Engine eng;
+    for (int t = 0; t < 8; ++t) {
+      eng.spawn([](sim::Engine& e, auto& tr, int id) -> sim::Task {
+        for (int i = 0; i < 20; ++i) {
+          co_await sim::delay(e, sim::ns(50 * (1 + (id + i) % 7)));
+          tr.emplace_back(e.now(), id);
+        }
+      }(eng, trace, t));
+      eng.schedule_at(sim::ns(100 * t), [&trace, &eng, t] {
+        trace.emplace_back(eng.now(), 100 + t);
+        eng.schedule_in(sim::us(3), [&trace, &eng, t] {
+          trace.emplace_back(eng.now(), 200 + t);  // past the ring horizon
+        });
+      });
+    }
+    if (!chopped) {
+      eng.run();
+      return trace;
+    }
+    for (sim::Time deadline = sim::ns(75); eng.run_until(deadline);
+         deadline += sim::ns(75)) {
+      // Both kinds of record land exactly at the parked clock.
+      const int id = 300 + static_cast<int>(deadline / sim::ns(75));
+      eng.schedule_at(eng.now(), [&trace, &eng, id] {
+        trace.emplace_back(eng.now(), id);
+      });
+      eng.spawn([](sim::Engine& e, auto& tr, int i) -> sim::Task {
+        tr.emplace_back(e.now(), i);
+        co_return;
+      }(eng, trace, id + 1000));
+    }
+    return trace;
+  };
+  const auto straight = trace_of(false);
+  const auto chopped = trace_of(true);
+  // The chopped run has the extra parked-clock records; without them the
+  // two dispatch sequences are identical.
+  std::vector<std::pair<sim::Time, int>> filtered;
+  std::size_t extra = 0;
+  for (std::size_t i = 0; i < chopped.size(); ++i) {
+    if (chopped[i].second >= 300) {
+      ++extra;
+      // Each parked-clock record fires at its window's deadline.
+      EXPECT_EQ(chopped[i].first % sim::ns(75), 0u);
+      continue;
+    }
+    filtered.push_back(chopped[i]);
+  }
+  EXPECT_GT(extra, 0u);
+  EXPECT_EQ(filtered, straight);
+  EXPECT_EQ(straight.size(), 8u * 20 + 8 + 8);
+}
+
+// ---------------------------------------------------------------------------
+// Callback slab (kCall records hold a slab slot, not the callable)
+
+namespace {
+
+// Capture that tracks how many copies of itself are alive: a leak leaves
+// the count above zero, a double destruction drives it below.
+struct LiveProbe {
+  int* live;
+  explicit LiveProbe(int* l) : live(l) { ++*live; }
+  LiveProbe(const LiveProbe& o) : live(o.live) { ++*live; }
+  LiveProbe(LiveProbe&& o) noexcept : live(o.live) { ++*live; }
+  LiveProbe& operator=(const LiveProbe&) = delete;
+  ~LiveProbe() { --*live; }
+};
+
+}  // namespace
+
+TEST(EngineSlab, CallbackSchedulesCallbacksFromItsOwnDispatch) {
+  // The running callback schedules enough callbacks to grow the slab
+  // several times over, then reads its own captures: the callable must
+  // not live in a slot the growth moved.
+  sim::Engine eng;
+  std::vector<int> order;
+  std::string seen;
+  const std::string tag(64, 'x');  // boxed: larger than the inline buffer
+  eng.schedule_at(sim::ns(1), [&eng, &order, &seen, tag] {
+    for (int i = 0; i < 200; ++i)
+      eng.schedule_in(i % 3, [&order, i] { order.push_back(i); });
+    seen = tag;
+  });
+  eng.run();
+  EXPECT_EQ(seen, tag);
+  ASSERT_EQ(order.size(), 200u);
+  // Delay 0, 1, 2 ps in turn: grouped by delay, schedule order within.
+  std::vector<int> want;
+  for (int d = 0; d < 3; ++d)
+    for (int i = d; i < 200; i += 3) want.push_back(i);
+  EXPECT_EQ(order, want);
+}
+
+TEST(EngineSlab, SelfReschedulingChainReusesSlotsInOrder) {
+  // A callback that schedules its successor at its own timestamp frees
+  // its slot first, so a long chain runs in a bounded slab.
+  sim::Engine eng;
+  int next = 0;
+  bool in_order = true;
+  struct Link {
+    sim::Engine* eng;
+    int* next;
+    bool* in_order;
+    int id;
+    void operator()() const {
+      *in_order = *in_order && *next == id;
+      ++*next;
+      if (id + 1 < 5000) eng->schedule_in(id % 2, Link{eng, next, in_order, id + 1});
+    }
+  };
+  eng.schedule_at(0, Link{&eng, &next, &in_order, 0});
+  eng.run();
+  EXPECT_EQ(next, 5000);
+  EXPECT_TRUE(in_order);
+  EXPECT_EQ(eng.events_processed(), 5000u);
+}
+
+TEST(EngineSlab, DestroyedEngineReleasesPendingCapturesOnce) {
+  auto token = std::make_shared<int>(7);
+  int live = 0;
+  int fired = 0;
+  {
+    sim::Engine eng;
+    for (int i = 0; i < 64; ++i) {
+      const sim::Time at = sim::ns(10) * (i + 1);
+      if (i % 2 == 0) {
+        // Inline capture: a shared_ptr and a probe.
+        eng.schedule_at(at, [t = token, p = LiveProbe(&live), &fired] {
+          fired += *t > 0;
+        });
+      } else {
+        // Boxed capture: padding pushes it past the inline buffer.
+        std::uint64_t pad[6] = {};
+        eng.schedule_at(at, [t = token, p = LiveProbe(&live), pad, &fired] {
+          fired += *t > 0 && pad[0] == 0;
+        });
+      }
+    }
+    // Dispatch the first 20 (their slots are freed and some reused by the
+    // refills below), leave the rest pending.
+    eng.run_until(sim::ns(200));
+    for (int i = 0; i < 8; ++i)
+      eng.schedule_in(sim::us(5), [t = token, p = LiveProbe(&live)] {});
+    EXPECT_EQ(fired, 20);
+    EXPECT_EQ(token.use_count(), 1 + 44 + 8);
+    EXPECT_EQ(live, 44 + 8);
+  }
+  EXPECT_EQ(fired, 20);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(live, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Detached-frame registry (an intrusive list through the promises)
+
+TEST(EngineRegistry, SuspendedDetachedFramesReclaimedThroughList) {
+  // Finished frames unlink themselves from anywhere in the list; frames
+  // still suspended when the engine dies are destroyed from it exactly
+  // once, children spawned by a parked parent included.
+  auto token = std::make_shared<int>(1);
+  int live = 0;
+  int finished = 0;
+  {
+    sim::Engine eng;
+    sim::OneShotEvent never(eng);
+    for (int i = 0; i < 40; ++i) {
+      eng.spawn([](sim::Engine& e, sim::OneShotEvent& ev,
+                   [[maybe_unused]] std::shared_ptr<int> t,
+                   [[maybe_unused]] LiveProbe p, int id,
+                   int& done) -> sim::Task {
+        co_await sim::delay(e, sim::ns(id));
+        if (id % 3 != 0) {
+          ++done;  // finishes: unlinks from the middle of the list
+          co_return;
+        }
+        co_await ev.wait();  // parks until the engine dies
+      }(eng, never, token, LiveProbe(&live), i, finished));
+    }
+    // A parked parent whose children park too (spawned after it, so they
+    // are reclaimed before it).
+    eng.spawn([](sim::Engine& e, sim::OneShotEvent& ev,
+                 std::shared_ptr<int> t, LiveProbe p) -> sim::Task {
+      for (int c = 0; c < 4; ++c) {
+        e.spawn([](sim::OneShotEvent& ev2,
+                   [[maybe_unused]] std::shared_ptr<int> t2,
+                   [[maybe_unused]] LiveProbe p2) -> sim::Task {
+          co_await ev2.wait();
+        }(ev, t, p));
+      }
+      co_await ev.wait();
+    }(eng, never, token, LiveProbe(&live)));
+    eng.run();
+    EXPECT_EQ(finished, 26);
+    // 14 parked leaves + the parent + its 4 children.
+    EXPECT_EQ(token.use_count(), 1 + 14 + 1 + 4);
+    EXPECT_EQ(live, 14 + 1 + 4);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(live, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -311,15 +525,48 @@ TEST(EventQueueEdge, ImmediateLosesTieToEarlierScheduledEvent) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(EventQueueEdge, RecordIsPlainAndRoundTripsBothKinds) {
+  static_assert(sizeof(sim::Event) == 32);
+  static_assert(std::is_trivially_copyable_v<sim::Event>);
+  sim::EventQueue q;
+  // Same timestamp, keys out of push order, both kinds: pops in key order
+  // with every field intact.
+  q.push(sim::Event{sim::ns(3), 9, 0x7f00deadbee0ull, 5,
+                    sim::EventKind::kResume});
+  q.push(sim::Event{sim::ns(3), 2, 17, 1, sim::EventKind::kCall});
+  q.push(sim::Event{sim::us(40), 1, 0x7f0000001000ull, 0,
+                    sim::EventKind::kResume});  // overflow tier
+  sim::Event e = q.pop();
+  EXPECT_EQ(e.seq, 2u);
+  EXPECT_EQ(e.target, 17u);
+  EXPECT_EQ(e.exec_lane, 1u);
+  EXPECT_EQ(e.kind, sim::EventKind::kCall);
+  e = q.pop();
+  EXPECT_EQ(e.seq, 9u);
+  EXPECT_EQ(e.target, 0x7f00deadbee0ull);
+  EXPECT_EQ(e.exec_lane, 5u);
+  EXPECT_EQ(e.kind, sim::EventKind::kResume);
+  // A record pushed behind the cursor (a parked clock) still pops before
+  // the later overflow record.
+  q.push(sim::Event{sim::ns(1), 3, 4, 2, sim::EventKind::kCall});
+  e = q.pop();
+  EXPECT_EQ(e.at, sim::ns(1));
+  EXPECT_EQ(e.target, 4u);
+  e = q.pop();
+  EXPECT_EQ(e.at, sim::us(40));
+  EXPECT_EQ(e.target, 0x7f0000001000ull);
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(EventQueueEdge, ClearDropsEverythingAndKeepsWorking) {
   sim::EventQueue q;
   for (int i = 0; i < 100; ++i)
     q.push(sim::Event{static_cast<sim::Time>(i * 1000),
-                      static_cast<std::uint64_t>(i), {}, sim::InlineFn{}});
+                      static_cast<std::uint64_t>(i)});
   EXPECT_EQ(q.size(), 100u);
   q.clear();
   EXPECT_TRUE(q.empty());
-  q.push(sim::Event{5, 0, {}, sim::InlineFn{}});
+  q.push(sim::Event{5, 0});
   EXPECT_EQ(q.pop().at, 5u);
   EXPECT_TRUE(q.empty());
 }
