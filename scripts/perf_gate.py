@@ -9,19 +9,17 @@ bench/selfbench_engine) and fails when the scheduler hot path got slower:
      ordering, whose bookkeeping costs ~10% of dispatch, see
      docs/PERF.md). Both engines are timed in the same process on the
      same machine, so this number is machine-independent — it is the
-     primary criterion. The verbs datapath has a second in-run ratio:
-     speedup/datapath (tuned vs legacy datapath on the mixed-SGE
-     write/read storm) must stay above --min-datapath-speedup (default
-     1.5x). Each ratio is the median of the selfbench's interleaved
-     (fast, legacy) pairs; the per-pair ratios (series speedup_trial)
-     print as the spread. Alongside it, the datapath_allocs/steady point
-     must be exactly 0: the steady-state single-SGE hot path is not
-     allowed to touch the heap.
+     primary criterion. The ratio is the median of the selfbench's
+     interleaved (calendar, legacy) pairs; the per-pair ratios (series
+     speedup_trial) print as the spread. Alongside it, the
+     datapath_allocs/steady point must be exactly 0: the steady-state
+     single-SGE verbs hot path is not allowed to touch the heap.
   2. Every workload's throughput, NORMALIZED by the in-run legacy
      dispatch number (which anchors how fast the host is), must stay
      within --tolerance (default 0.20) of the checked-in baseline
      (bench/selfbench_baseline.json). This catches a regression in one
-     workload (e.g. coroutine churn) that the aggregate speedup hides.
+     workload (e.g. coroutine churn, or the verbs datapath/fast row) that
+     the aggregate speedup hides.
   3. Raw Mevents/s vs the baseline's raw numbers is reported for context
      but only enforced with --strict-absolute, because absolute wall
      clock shifts with the machine the baseline was recorded on.
@@ -134,10 +132,6 @@ def main():
                     default=float(os.environ.get("RDMASEM_PERF_MIN_SPEEDUP",
                                                  "1.8")),
                     help="floor for the calendar/legacy dispatch ratio")
-    ap.add_argument("--min-datapath-speedup", type=float,
-                    default=float(os.environ.get(
-                        "RDMASEM_PERF_MIN_DATAPATH_SPEEDUP", "1.5")),
-                    help="floor for the tuned/legacy verbs-datapath ratio")
     ap.add_argument("--tenant-report", default=None,
                     help="BENCH_ext_tenant_scale.json; when given, also "
                          "enforce the multi-tenant scaling floors")
@@ -185,8 +179,7 @@ def main():
     }
     normalized = {k: v / legacy for k, v in workloads.items()}
 
-    # Verbs-datapath self-ratio and allocation count.
-    dp_speedup = points.get(("speedup", "datapath"))
+    # Verbs-datapath steady-state allocation count.
     dp_allocs = points.get(("datapath_allocs", "steady"))
 
     if args.update_baseline:
@@ -200,9 +193,6 @@ def main():
             "absolute_mev": {k: round(v, 4) for k, v in workloads.items()},
             "normalized": {k: round(v, 4) for k, v in normalized.items()},
         }
-        if dp_speedup is not None:
-            # Context only — the gate uses the in-run ratio, never this.
-            baseline["datapath_speedup"] = round(dp_speedup, 4)
         with open(args.baseline, "w") as f:
             json.dump(baseline, f, indent=2)
             f.write("\n")
@@ -220,14 +210,13 @@ def main():
 
     failures = []
 
-    for name in ("dispatch", "datapath"):
-        trials = [mops for (series, x), mops in sorted(points.items())
-                  if series == "speedup_trial" and x.startswith(name + "/")]
-        if trials:
-            print(f"perf_gate: {name} ratio per pair: "
-                  + " ".join(f"{t:.2f}" for t in trials)
-                  + f" (min {min(trials):.2f}, max {max(trials):.2f}, "
-                  f"{len(trials)} pairs)")
+    trials = [mops for (series, x), mops in sorted(points.items())
+              if series == "speedup_trial" and x.startswith("dispatch/")]
+    if trials:
+        print("perf_gate: dispatch ratio per pair: "
+              + " ".join(f"{t:.2f}" for t in trials)
+              + f" (min {min(trials):.2f}, max {max(trials):.2f}, "
+              f"{len(trials)} pairs)")
 
     print(f"perf_gate: dispatch speedup calendar/legacy = {speedup:.2f}x "
           f"(floor {args.min_speedup:.2f}x)")
@@ -235,14 +224,6 @@ def main():
         failures.append(
             f"dispatch speedup {speedup:.2f}x fell below the "
             f"{args.min_speedup:.2f}x floor")
-
-    if dp_speedup is not None:
-        print(f"perf_gate: datapath speedup tuned/legacy = "
-              f"{dp_speedup:.2f}x (floor {args.min_datapath_speedup:.2f}x)")
-        if dp_speedup < args.min_datapath_speedup:
-            failures.append(
-                f"datapath speedup {dp_speedup:.2f}x fell below the "
-                f"{args.min_datapath_speedup:.2f}x floor")
 
     if dp_allocs is not None:
         verdict = "ok" if dp_allocs == 0 else "REGRESSED"

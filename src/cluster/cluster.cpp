@@ -57,7 +57,6 @@ Cluster::Cluster(sim::Engine& engine, hw::ModelParams params)
   for (auto& lat : topo.group_latency)
     if (lat == kUnset) lat = base;
   engine_.configure_lanes(lanes, std::move(topo));
-  faults_.set_lanes(lanes);
   obs_.tracer.set_lanes(lanes);
   machines_.reserve(params.machines);
   for (MachineId m = 0; m < params.machines; ++m)

@@ -29,8 +29,8 @@ Transit Fabric::transit(MachineId src, PortId sport, MachineId dst,
   t.wire = p_.wire_time(payload_bytes);
   t.hop = p_.hop_latency(src, dst);
   // Congestion / rerouting faults show up as extra propagation latency.
-  if (faults_ != nullptr && faults_->current().active())
-    t.hop += faults_->current().extra_latency(src, sport, dst, dport);
+  if (faults_ != nullptr && faults_->active())
+    t.hop += faults_->extra_latency(src, sport, dst, dport);
   // On a bare engine (no cluster lanes) the destination lane collapses to
   // lane 0 and the hop is a plain delay there.
   t.dst_lane = dst + 1 < engine_.lanes() ? dst + 1 : 0;
@@ -39,14 +39,13 @@ Transit Fabric::transit(MachineId src, PortId sport, MachineId dst,
 
 bool Fabric::dropped(MachineId src, PortId sport, MachineId dst, PortId dport) {
   double prob = p_.net_loss_prob;
-  if (faults_ != nullptr && faults_->current().active()) {
-    const fault::FaultState& st = faults_->current();
-    if (st.blocked(src, sport, dst, dport)) {
+  if (faults_ != nullptr && faults_->active()) {
+    if (faults_->blocked(src, sport, dst, dport)) {
       ++drops_;
       ++link_drops_[index(src, sport)];
       return true;  // no path: crashed node, dead link or partition
     }
-    const double burst = st.loss_override(src, sport, dst, dport);
+    const double burst = faults_->loss_override(src, sport, dst, dport);
     if (burst >= 0.0) prob = burst;
   }
   if (prob <= 0.0) return false;

@@ -48,7 +48,7 @@ class Fabric {
   // Accounts one message of `payload_bytes` (plus header overhead) from
   // (src,sport) to (dst,dport) and prices its legs (see Transit). Call on
   // the sender's lane at send time: congestion and rerouting faults are
-  // read from that lane's fault replica here, before the tx leg.
+  // read from the fault state here, before the tx leg.
   Transit transit(MachineId src, PortId sport, MachineId dst, PortId dport,
                   std::size_t payload_bytes);
 
@@ -60,10 +60,9 @@ class Fabric {
   // simulator. Must be called on the receiver's lane (qp.cpp does).
   bool dropped(MachineId src, PortId sport, MachineId dst, PortId dport);
 
-  // Attaches the cluster's fault domain; nullptr = lossless-lab behavior.
-  // Each lane consults only its own replica (FaultDomain::current).
-  void set_faults(const fault::FaultDomain* f) { faults_ = f; }
-  const fault::FaultDomain* faults() const { return faults_; }
+  // Attaches the cluster's fault state; nullptr = lossless-lab behavior.
+  void set_faults(const fault::FaultState* f) { faults_ = f; }
+  const fault::FaultState* faults() const { return faults_; }
 
   sim::Resource& tx_link(MachineId m, PortId p) { return *tx_[index(m, p)]; }
   sim::Resource& rx_link(MachineId m, PortId p) { return *rx_[index(m, p)]; }
@@ -89,7 +88,7 @@ class Fabric {
   std::uint32_t ports_;
   std::vector<std::unique_ptr<sim::Resource>> tx_;
   std::vector<std::unique_ptr<sim::Resource>> rx_;
-  const fault::FaultDomain* faults_ = nullptr;
+  const fault::FaultState* faults_ = nullptr;
   // Every lane's transits bump these; totals commute.
   std::uint64_t messages_ = 0;
   std::uint64_t bytes_ = 0;

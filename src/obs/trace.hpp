@@ -192,9 +192,10 @@ class Tracer {
   std::string chrome_json() const;
 
  private:
-  // Cache-line aligned so two lanes appending concurrently do not share
-  // a line through the vector headers.
-  struct alignas(64) LaneBuf {
+  // One lane's spans, in append order. Exports concatenate the buffers
+  // in lane order before the stable sort, so spans with equal begin
+  // times come out lane-major.
+  struct LaneBuf {
     std::vector<Span> spans;
     std::uint64_t dropped = 0;
     std::vector<AttrSpan> attrs;

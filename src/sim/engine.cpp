@@ -39,7 +39,6 @@ Engine::Engine() : base_seed_(kDefaultSeed) {
   lane_group_.assign(1, 0);
   group_lat_.assign(1, 0);
   prof_ = util::env_bool("RDMASEM_PROF", false);
-  inline_wakeups_ = util::env_bool("RDMASEM_INLINE_WAKEUPS", true);
 }
 
 Engine::~Engine() {
@@ -133,7 +132,7 @@ void Engine::run_loop(Time end, Time inline_until) {
   ProfClock::time_point w0;
   if (prof_) w0 = ProfClock::now();
   const detail::ExecContext saved = detail::t_exec;
-  detail::t_exec = {this, 0, inline_wakeups_ ? inline_until : 0};
+  detail::t_exec = {this, 0, inline_until};
   while (!queue_.empty() &&
          (end == kNoDeadline || queue_.next_time() < end)) {
     dispatch(queue_.pop());

@@ -176,7 +176,8 @@ class Engine {
   // max(now, min(deadline, last event time)). Returns true if events remain.
   bool run_until(Time deadline);
   // Drains at most `max_events` events in (at, key) order; returns the
-  // number processed.
+  // number popped. Grants nothing inline: every suspension it dispatches
+  // goes through the queue.
   std::uint64_t run_events(std::uint64_t max_events);
 
   // --- inline-wakeup fast path ---------------------------------------------
@@ -193,8 +194,9 @@ class Engine {
   // per-lane order). Awaiters (sim::delay, Resource::use) call this from
   // await_ready, so an uncontended pipeline stage costs no event, no
   // queue traffic and no suspension. Determinism: the dispatch sequence
-  // (timestamps, lane order, processed-event count) is identical with the
-  // fast path on or off — asserted by tests/determinism_test.cpp.
+  // (timestamps, lane order, processed-event count) is identical whether
+  // a suspension is granted inline or queued — run_events() never grants
+  // inline, and tests/determinism_test.cpp compares it against run().
   bool try_inline_advance(Time at);
   bool try_inline_delay(Duration d) {
     if (detail::t_exec.eng != this) return false;
@@ -212,12 +214,6 @@ class Engine {
     detail::t_exec.lane = lane;
     return true;
   }
-  // Master switch, read at run()/run_until() entry (set it while the
-  // engine is not running). Off: every suspension goes through the event
-  // queue, byte-identical to the fast path (the legacy anchor for the
-  // selfbench speedup ratio and the determinism toggle tests).
-  void set_inline_wakeups(bool on) { inline_wakeups_ = on; }
-  bool inline_wakeups() const { return inline_wakeups_; }
 
   // --- engine profiling (Plane 2) ------------------------------------------
 
@@ -328,7 +324,6 @@ class Engine {
   std::vector<Duration> group_lat_;
   std::uint32_t ngroups_ = 1;
 
-  bool inline_wakeups_ = true;
   // Plane-2 profiling (RDMASEM_PROF). Written only while the engine is
   // not running.
   bool prof_ = false;

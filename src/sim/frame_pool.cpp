@@ -41,11 +41,13 @@ Arena& arena() {
   return a;
 }
 
+#if !RDMASEM_ASAN
 // Size class for `bytes` (bytes > 0), or kClasses if beyond the pooled
 // range. Class c holds blocks of (c + 1) * kGranule bytes.
 std::size_t class_of(std::size_t bytes) {
   return (bytes - 1) / FramePool::kGranule;
 }
+#endif
 
 }  // namespace
 

@@ -371,12 +371,11 @@ void QueuePair::complete(const WorkRequest& wr, Status st, std::uint32_t bytes,
 //
 // Each attempt runs the legs Fabric::transit prices: tx serialization on
 // the sender's lane, the propagation + switch hop onto the destination's
-// lane, rx serialization there. The drop decision is drawn on the
-// destination's lane (destination RNG + fault replica). A retransmit
-// rides the sender's timeout back: hop(src, backoff) lands on the
-// sender's lane at the virtual time the sender retransmits. Final
-// failure hops to `home_machine` the same way — the backoff timeout is
-// how the requester learns the leg is dead.
+// lane, rx serialization there. The drop decision draws from the
+// destination lane's RNG. A retransmit rides the sender's timeout back:
+// hop(src, backoff) lands on the sender's lane at the virtual time the
+// sender retransmits. Final failure hops to `home_machine` the same way —
+// the backoff timeout is how the requester learns the leg is dead.
 sim::TaskT<bool> QueuePair::deliver(std::uint32_t src_machine,
                                     std::uint32_t sport,
                                     std::uint32_t dst_machine,
@@ -455,12 +454,6 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
   auto& lr = lm.rnic();
   auto& lport = lr.port(cfg_.port);
   if (wr.posted_at == 0) wr.posted_at = eng.now();
-
-  // Host-side datapath knobs, snapshotted per WR (the struct is mutable
-  // between runs; a WR must see one consistent view across lanes).
-  // Toggling any knob changes no simulated time or byte — only how the
-  // simulator itself stages payloads and suspends (docs/PERF.md).
-  const DatapathTuning tune = datapath_tuning();
 
   // Lifecycle tracing: stamps read the clock and append to a buffer,
   // never schedule or delay anything, so `traced` on/off cannot change
@@ -591,7 +584,7 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
     const sim::Time t0 = eng.now();
     const sim::Grant g_dma = co_await lr.dma().use(P.pcie_time(total));
     attr_use(lr.dma(), t0, g_dma);
-    if (tune.fused_costs && wr.sg_list.size() == 1) {
+    if (wr.sg_list.size() == 1) {
       // Single-SGE fast path: the channel service and the NUMA penalty
       // form a fixed chain with no interleaving point — one suspension.
       const MemoryRegion* mr = ctx_.lookup(wr.sg_list[0].lkey);
@@ -657,7 +650,7 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
   // Stage the outbound payload in the coroutine frame: gathered from the
   // local MRs here on the requester's lane, copied out on the
   // destination's lane. The frame is the only state both lanes touch,
-  // and only sequentially (before/after the wire hop). Single-SGE RC
+  // and only sequentially (before/after the wire hop). Single-SGE RC/DC
   // payloads skip even the gather: the frame carries a borrowed view into
   // the source MR and the landing memcpy is the only copy. The app cannot
   // legally touch the buffer before the completion. Other WRs may land in
@@ -667,15 +660,14 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
   // between overlapping ranges.
   PayloadBuf payload;
   if (carries_payload) {
-    const bool zc_eligible =
-        tune.zero_copy && (tp == Transport::kRC || tp == Transport::kDc) &&
-        wr.sg_list.size() == 1 && lm.id() != rm.id();
+    const bool zc_eligible = (tp == Transport::kRC || tp == Transport::kDc) &&
+                             wr.sg_list.size() == 1 && lm.id() != rm.id();
     if (zc_eligible) {
       hub.zero_copy_wrs.inc();
       payload.borrow(ctx_.lookup(wr.sg_list[0].lkey)->at(wr.sg_list[0].addr));
     } else {
       gather_sges(ctx_, wr.sg_list.data(), wr.sg_list.size(),
-                  payload.stage(total, tune.payload_pool));
+                  payload.stage(total));
       (payload.pool_hit() ? hub.payload_pool_hits : hub.payload_pool_misses)
           .inc();
     }
@@ -743,22 +735,12 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
                      hw::DramModel::Op::kWrite, same);
         const sim::Duration pen = rm.topo().dma_mem_penalty(rps, rmr->socket);
         const sim::Time t_m = eng.now();
-        if (tune.fused_costs) {
-          // Channel service + NUMA penalty + PCIe completion latency is a
-          // fixed chain — nothing can semantically interleave, so it is
-          // one suspension on the fast path.
-          const sim::Grant g_m =
-              co_await rm.mem_channel(rmr->socket)
-                  .use_then(m, pen + P.pcie_dma_write_latency);
-          attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
-        } else {
-          const sim::Grant g_m = co_await rm.mem_channel(rmr->socket).use(m);
-          attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
-          const sim::Time t_p = eng.now();
-          if (pen) co_await sim::delay(eng, pen);
-          co_await sim::delay(eng, P.pcie_dma_write_latency);
-          attr_lat(t_p);
-        }
+        // Channel service + NUMA penalty + PCIe completion latency is a
+        // fixed chain — nothing can semantically interleave, so it is one
+        // suspension.
+        const sim::Grant g_m = co_await rm.mem_channel(rmr->socket)
+                                   .use_then(m, pen + P.pcie_dma_write_latency);
+        attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
         // The data actually moves: staged (or borrowed) payload lands in
         // the remote MR, here on its owner's lane.
         std::memcpy(rmr->at(wr.remote_addr), payload.data(), total);
@@ -807,25 +789,14 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
                      hw::DramModel::Op::kRead, same);
         const sim::Duration pen = rm.topo().dma_mem_penalty(rps, rmr->socket);
         const sim::Time t_m = eng.now();
-        if (tune.fused_costs) {
-          const sim::Grant g_m =
-              co_await rm.mem_channel(rmr->socket)
-                  .use_then(m, pen + P.pcie_dma_read_latency);
-          attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
-        } else {
-          const sim::Grant g_m = co_await rm.mem_channel(rmr->socket).use(m);
-          attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
-          const sim::Time t_p = eng.now();
-          if (pen) co_await sim::delay(eng, pen);
-          co_await sim::delay(eng, P.pcie_dma_read_latency);
-          attr_lat(t_p);
-        }
+        const sim::Grant g_m = co_await rm.mem_channel(rmr->socket)
+                                   .use_then(m, pen + P.pcie_dma_read_latency);
+        attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
         // Snapshot the remote bytes into the frame while still on their
         // owner's lane; the response leg carries them home. READs always
         // stage (never borrow): the source may mutate between here and
         // the landing, which a borrowed view would observe.
-        std::memcpy(payload.stage(total, tune.payload_pool),
-                    rmr->at(wr.remote_addr), total);
+        std::memcpy(payload.stage(total), rmr->at(wr.remote_addr), total);
         (payload.pool_hit() ? hub.payload_pool_hits : hub.payload_pool_misses)
             .inc();
       }
@@ -848,7 +819,7 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
         const sim::Time t_land = eng.now();
         const sim::Grant g_ld = co_await lr.dma().use(P.pcie_time(total));
         attr_use(lr.dma(), t_land, g_ld);
-        if (tune.fused_costs && wr.sg_list.size() == 1) {
+        if (wr.sg_list.size() == 1) {
           const MemoryRegion* mr = ctx_.lookup(wr.sg_list[0].lkey);
           const bool same = (lps == mr->socket);
           const sim::Duration m =
@@ -874,14 +845,9 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
             numa_pen =
                 std::max(numa_pen, lm.topo().dma_mem_penalty(lps, mr->socket));
           }
+          // Two trailing pure delays; merged into one suspension.
           const sim::Time t_p = eng.now();
-          if (tune.fused_costs) {
-            // Two trailing pure delays; merge into one suspension.
-            co_await sim::delay(eng, numa_pen + P.pcie_dma_write_latency);
-          } else {
-            if (numa_pen) co_await sim::delay(eng, numa_pen);
-            co_await sim::delay(eng, P.pcie_dma_write_latency);
-          }
+          co_await sim::delay(eng, numa_pen + P.pcie_dma_write_latency);
           attr_lat(t_p);
         }
         scatter_sges(ctx_, wr.sg_list.data(), wr.sg_list.size(),
@@ -937,18 +903,9 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
         co_return;
       }
       const sim::Time t_lrx = eng.now();
-      if (tune.fused_costs) {
-        const sim::Grant g_lrx =
-            co_await lport.rx.use_then(P.rnic_rx_proc,
-                                       P.pcie_dma_write_latency);
-        attr_use(lport.rx, t_lrx, g_lrx);
-      } else {
-        const sim::Grant g_lrx = co_await lport.rx.use(P.rnic_rx_proc);
-        attr_use(lport.rx, t_lrx, g_lrx);
-        const sim::Time t_p = eng.now();
-        co_await sim::delay(eng, P.pcie_dma_write_latency);
-        attr_lat(t_p);
-      }
+      const sim::Grant g_lrx =
+          co_await lport.rx.use_then(P.rnic_rx_proc, P.pcie_dma_write_latency);
+      attr_use(lport.rx, t_lrx, g_lrx);
       if (traced) stamp(obs::Stage::kResponse, t_resp);
       MemoryRegion* lmr = ctx_.lookup(wr.sg_list[0].lkey);
       std::memcpy(lmr->at(wr.sg_list[0].addr), &old, 8);
@@ -1022,18 +979,9 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
         const sim::Duration m = mem_cost(rm, rmr->socket, rq.sge.addr, total,
                                          hw::DramModel::Op::kWrite, same);
         const sim::Time t_m = eng.now();
-        if (tune.fused_costs) {
-          const sim::Grant g_m =
-              co_await rm.mem_channel(rmr->socket)
-                  .use_then(m, P.pcie_dma_write_latency);
-          attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
-        } else {
-          const sim::Grant g_m = co_await rm.mem_channel(rmr->socket).use(m);
-          attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
-          const sim::Time t_p = eng.now();
-          co_await sim::delay(eng, P.pcie_dma_write_latency);
-          attr_lat(t_p);
-        }
+        const sim::Grant g_m = co_await rm.mem_channel(rmr->socket)
+                                   .use_then(m, P.pcie_dma_write_latency);
+        attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
         // The RECV consume is the same scatter primitive as a READ
         // landing: one SGE, capped at the arriving message size.
         scatter_sges(peer->ctx_, &rq.sge, 1, payload.data(), total);

@@ -15,7 +15,6 @@
 #include "cluster/stats.hpp"
 #include "fault/fault.hpp"
 #include "testbed.hpp"
-#include "verbs/payload.hpp"
 #include "wl/microbench.hpp"
 
 namespace v = rdmasem::verbs;
@@ -32,47 +31,53 @@ struct RunOutput {
   std::string stats;        // StatsReport::render()
   std::string trace;        // Tracer::chrome_json()
   std::string rest;         // every other scalar, stringified
-  std::uint64_t events = 0; // engine events_processed — kept out of `rest`
-                            // so the cost-fusing toggle (which legitimately
-                            // changes the suspension count) can still
-                            // assert full byte-identity of everything else
+  std::uint64_t events = 0; // engine events_processed
+  std::uint64_t inline_grants = 0;  // suspensions granted without an event
 };
 
-// Scoped override of the process-wide datapath tuning knobs.
-struct TuningOverride {
-  v::DatapathTuning saved = v::datapath_tuning();
-  explicit TuningOverride(v::DatapathTuning t) { v::datapath_tuning() = t; }
-  ~TuningOverride() { v::datapath_tuning() = saved; }
+// A traced testbed under a seed-derived chaos plan, with a source buffer
+// on machine 0 and a target on machine 1 for a 64 B WRITE/READ mix.
+struct ChaosRig {
+  Testbed tb;
+  v::Buffer src{4096};
+  v::Buffer dst{1 << 14};
+  v::MemoryRegion* lmr;
+  v::MemoryRegion* rmr;
+  std::uint64_t seed;
+
+  explicit ChaosRig(std::uint64_t s) : seed(s) {
+    tb.cluster.obs().tracer.set_enabled(true);
+    sim::Rng plan_rng(seed * 2654435761u + 17);
+    fl::ChaosOptions opts;
+    opts.events = 16;
+    opts.loss_prob_max = 0.3;
+    opts.window_max = sim::us(150);
+    tb.cluster.inject(fl::FaultPlan::chaos(plan_rng, sim::ms(1),
+                                           tb.cluster.size(),
+                                           tb.cluster.params().rnic_ports,
+                                           opts));
+    lmr = tb.ctx[0]->register_buffer(src, 1);
+    rmr = tb.ctx[1]->register_buffer(dst, 1);
+  }
+
+  // Seed-dependent access pattern so different seeds genuinely differ.
+  v::WorkRequest wr_for(std::uint64_t s) const {
+    const auto off = ((s * 2654435761u + seed) % 255) * 64;
+    return (s % 3 == 0) ? rdmasem::wl::make_read(*lmr, 0, *rmr, off, 64)
+                        : rdmasem::wl::make_write(*lmr, 0, *rmr, off, 64);
+  }
 };
 
 // Closed-loop write/read mix under a seed-derived chaos plan, tracing on.
-RunOutput microbench_run(std::uint64_t seed, bool inline_wakeups = true) {
-  Testbed tb;
-  if (!inline_wakeups) tb.eng.set_inline_wakeups(false);
-  tb.cluster.obs().tracer.set_enabled(true);
-
-  sim::Rng plan_rng(seed * 2654435761u + 17);
-  fl::ChaosOptions opts;
-  opts.events = 16;
-  opts.loss_prob_max = 0.3;
-  opts.window_max = sim::us(150);
-  tb.cluster.inject(fl::FaultPlan::chaos(plan_rng, sim::ms(1),
-                                         tb.cluster.size(),
-                                         tb.cluster.params().rnic_ports,
-                                         opts));
-
-  v::Buffer src(4096), dst(1 << 14);
-  auto* lmr = tb.ctx[0]->register_buffer(src, 1);
-  auto* rmr = tb.ctx[1]->register_buffer(dst, 1);
+RunOutput microbench_run(std::uint64_t seed) {
+  ChaosRig rig(seed);
+  Testbed& tb = rig.tb;
   wl::ClientSpec spec;
   for (int t = 0; t < 2; ++t) spec.qps.push_back(tb.connect(0, 1).local);
   spec.window = 4;
   spec.ops_per_client = 250;
-  spec.make_wr = [lmr, rmr, seed](std::uint32_t, std::uint64_t s) {
-    // Seed-dependent access pattern so different seeds genuinely differ.
-    const auto off = ((s * 2654435761u + seed) % 255) * 64;
-    return (s % 3 == 0) ? rdmasem::wl::make_read(*lmr, 0, *rmr, off, 64)
-                        : rdmasem::wl::make_write(*lmr, 0, *rmr, off, 64);
+  spec.make_wr = [&rig](std::uint32_t, std::uint64_t s) {
+    return rig.wr_for(s);
   };
   const auto r = wl::run_closed_loop(tb.eng, spec);
 
@@ -144,58 +149,65 @@ TEST(SeedSweep, SeedsActuallyDiffer) {
   EXPECT_NE(a.rest, b.rest);
 }
 
-// --- datapath tuning toggles ------------------------------------------------
+// --- inline-wakeup elision ------------------------------------------------
 //
-// The verbs datapath optimisations (verbs/payload.hpp) are host-side only:
-// each knob flipped off must reproduce the default run's observable output
-// byte for byte. zero_copy and payload_pool change only how payload bytes
-// are carried between the gather and the landing, so even the event count
-// matches; fused_costs collapses fixed-latency chains into fewer
-// suspensions, so it changes events_processed and nothing else.
+// run() grants uncontended suspensions inline (Engine::try_inline_advance);
+// run_events() never does, so every suspension goes through the queue.
+// Both must reproduce the same execution byte for byte: an inline grant
+// still counts as a processed event, so even the event counter matches.
 
-TEST(DatapathToggles, ZeroCopyOffIsByteIdentical) {
-  const RunOutput fast = microbench_run(3);
-  v::DatapathTuning t;
-  t.zero_copy = false;
-  TuningOverride o(t);
-  const RunOutput staged = microbench_run(3);
-  EXPECT_EQ(staged.stats, fast.stats);
-  EXPECT_EQ(staged.trace, fast.trace);
-  EXPECT_EQ(staged.rest, fast.rest);
-  EXPECT_EQ(staged.events, fast.events);
-}
+// The chaos-faulted WRITE/READ mix, each completion logged as
+// "wr_id:status@time"; drained either by run() or by run_events() alone.
+RunOutput elision_run(std::uint64_t seed, bool queued) {
+  ChaosRig rig(seed);
+  Testbed& tb = rig.tb;
+  constexpr int kQps = 2, kWindow = 4, kOpsPerWorker = 60;
+  std::vector<std::string> logs(kQps * kWindow);
+  for (int q = 0; q < kQps; ++q) {
+    v::QueuePair* qp = tb.connect(0, 1).local;
+    for (int w = 0; w < kWindow; ++w) {
+      const int worker = q * kWindow + w;
+      auto loop = [](ChaosRig& r, v::QueuePair* qpair, int id,
+                     std::string& log) -> sim::Task {
+        for (int i = 0; i < kOpsPerWorker; ++i) {
+          const v::Completion c = co_await qpair->execute(
+              r.wr_for(static_cast<std::uint64_t>(id * kOpsPerWorker + i)));
+          log += std::to_string(c.wr_id) + ":" + v::to_string(c.status) + "@" +
+                 std::to_string(c.completed_at) + " ";
+        }
+      };
+      tb.eng.spawn_on(1, loop(rig, qp, worker, logs[worker]));
+    }
+  }
+  if (queued) {
+    while (tb.eng.run_events(1024) != 0) {
+    }
+  } else {
+    tb.eng.run();
+  }
 
-TEST(DatapathToggles, PayloadPoolOffIsByteIdentical) {
-  const RunOutput pooled = microbench_run(4);
-  v::DatapathTuning t;
-  t.payload_pool = false;
-  TuningOverride o(t);
-  const RunOutput heap = microbench_run(4);
-  EXPECT_EQ(heap.stats, pooled.stats);
-  EXPECT_EQ(heap.trace, pooled.trace);
-  EXPECT_EQ(heap.rest, pooled.rest);
-  EXPECT_EQ(heap.events, pooled.events);
-}
-
-TEST(DatapathToggles, FullLegacyDatapathKeepsAllTimesAndStats) {
-  const RunOutput fast = microbench_run(5);
-  TuningOverride o(v::DatapathTuning{false, false, false});
-  const RunOutput legacy = microbench_run(5);
-  EXPECT_EQ(legacy.stats, fast.stats);
-  EXPECT_EQ(legacy.trace, fast.trace);
-  EXPECT_EQ(legacy.rest, fast.rest);
-  // Unfused chains suspend more often; that is the ONLY thing that may
-  // differ, and it must differ (otherwise fusing isn't happening).
-  EXPECT_GT(legacy.events, fast.events);
+  RunOutput out;
+  out.stats = cl::StatsReport::capture(tb.cluster).render();
+  out.trace = tb.cluster.obs().tracer.chrome_json();
+  for (const std::string& l : logs) out.rest += l + "|";
+  out.rest += std::to_string(tb.eng.now()) + "|" +
+              std::to_string(tb.cluster.fabric().messages()) + "|" +
+              std::to_string(tb.cluster.fabric().drops());
+  out.events = tb.eng.events_processed();
+  out.inline_grants = tb.eng.drain_profile().shard[0].inline_grants;
+  return out;
 }
 
 TEST(DatapathToggles, InlineWakeupElisionIsByteIdentical) {
-  // Elided resource grants / delays still count as processed events, so
-  // the engine fast path is invisible even to the event counter.
-  const RunOutput fast = microbench_run(6);
-  const RunOutput queued = microbench_run(6, /*inline_wakeups=*/false);
+  const RunOutput fast = elision_run(6, /*queued=*/false);
+  const RunOutput queued = elision_run(6, /*queued=*/true);
   EXPECT_EQ(queued.stats, fast.stats);
   EXPECT_EQ(queued.trace, fast.trace);
   EXPECT_EQ(queued.rest, fast.rest);
   EXPECT_EQ(queued.events, fast.events);
+  EXPECT_FALSE(fast.trace.empty());
+  // The comparison means something only if run() did elide and
+  // run_events() did not.
+  EXPECT_GT(fast.inline_grants, 0u);
+  EXPECT_EQ(queued.inline_grants, 0u);
 }

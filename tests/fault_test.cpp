@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <tuple>
+#include <vector>
 
 #include "fault/fault.hpp"
 #include "fault/injector.hpp"
@@ -113,6 +114,86 @@ TEST(FaultInjector, WindowBeginsAndEndsAtPlannedTimes) {
   EXPECT_EQ(edges[0], (std::pair<sim::Time, bool>{sim::us(10), true}));
   EXPECT_EQ(edges[1], (std::pair<sim::Time, bool>{sim::us(15), false}));
   EXPECT_EQ(inj.injected(), 1u);
+}
+
+// The cluster keeps one fault state: each edge of a windowed fault is one
+// engine event, whatever the number of machines (lanes).
+TEST(FaultInjector, OneEventPerEdgeOnMultiMachineCluster) {
+  Testbed tb;
+  ASSERT_GT(tb.cluster.size(), 2u);
+  ASSERT_TRUE(tb.eng.idle());
+  const auto p = port_of(tb);
+  fl::FaultPlan plan;
+  plan.loss_burst(sim::us(10), sim::us(5), 0, p, 0.5)
+      .latency_spike(sim::us(12), sim::us(5), 1, p, sim::us(2))
+      .link_down(sim::us(20), sim::us(5), 2, p)
+      .partition(sim::us(30), sim::us(5), 0, 2)
+      .nic_stall(sim::us(40), sim::us(5), 1);
+  const std::uint64_t before = tb.eng.events_processed();
+  tb.cluster.inject(plan);
+  tb.eng.run();
+  EXPECT_EQ(tb.eng.events_processed() - before, 2 * plan.size());
+  EXPECT_EQ(tb.cluster.injector().injected(), plan.size());
+  EXPECT_FALSE(tb.cluster.faults().active());
+}
+
+// A transit or loss decision made on any machine's lane at exactly an edge
+// time sees the state in (at, key) order: a probe scheduled before the
+// plan runs ahead of the edge, one scheduled after it runs behind.
+TEST(FaultInjector, EveryLaneSeesEdgesInScheduleOrder) {
+  Testbed tb;
+  const auto p = port_of(tb);
+  const std::uint32_t n = tb.cluster.size();
+  constexpr fl::MachineId kFaulted = 1;
+  const sim::Time t_begin = sim::us(10), t_end = sim::us(15);
+  const sim::Duration extra = sim::us(2);
+  auto& fab = tb.cluster.fabric();
+  // Machine m sends to kFaulted, or to machine 0 when it is kFaulted.
+  auto dst_of = [](fl::MachineId m) { return m == kFaulted ? 0u : kFaulted; };
+  std::vector<sim::Duration> base_hop(n);
+  for (fl::MachineId m = 0; m < n; ++m)
+    base_hop[m] = fab.transit(m, p, dst_of(m), p, 64).hop;
+
+  struct Seen {
+    sim::Duration hop = 0;
+    bool dropped = false;
+  };
+  // [early/late][begin/end][machine]
+  std::vector<Seen> seen[2][2];
+  for (auto& by_order : seen)
+    for (auto& by_edge : by_order) by_edge.resize(n);
+  auto probe_all = [&](int order) {
+    for (int edge = 0; edge < 2; ++edge)
+      for (fl::MachineId m = 0; m < n; ++m)
+        tb.eng.schedule_on(m + 1, edge == 0 ? t_begin : t_end,
+                           [&, order, edge, m] {
+                             EXPECT_EQ(sim::current_lane(), m + 1);
+                             Seen& s = seen[order][edge][m];
+                             s.hop = fab.transit(m, p, dst_of(m), p, 64).hop;
+                             s.dropped = fab.dropped(m, p, dst_of(m), p);
+                           });
+  };
+  probe_all(0);
+  fl::FaultPlan plan;
+  plan.latency_spike(t_begin, t_end - t_begin, kFaulted, p, extra)
+      .link_down(t_begin, t_end - t_begin, kFaulted, p);
+  tb.cluster.inject(plan);
+  probe_all(1);
+  tb.eng.run();
+
+  for (fl::MachineId m = 0; m < n; ++m) {
+    SCOPED_TRACE(m);
+    // Early probes: still clear at the begin edge, still faulted at the end.
+    EXPECT_EQ(seen[0][0][m].hop, base_hop[m]);
+    EXPECT_FALSE(seen[0][0][m].dropped);
+    EXPECT_EQ(seen[0][1][m].hop, base_hop[m] + extra);
+    EXPECT_TRUE(seen[0][1][m].dropped);
+    // Late probes: faulted at the begin edge, clear again at the end.
+    EXPECT_EQ(seen[1][0][m].hop, base_hop[m] + extra);
+    EXPECT_TRUE(seen[1][0][m].dropped);
+    EXPECT_EQ(seen[1][1][m].hop, base_hop[m]);
+    EXPECT_FALSE(seen[1][1][m].dropped);
+  }
 }
 
 // ---------------------------------------------------------------------------
