@@ -208,8 +208,63 @@ inline void finish(const char* argv0, const FigureCollector& collector) {
   if (!out.empty()) std::fprintf(stderr, "bench report: %s\n", out.c_str());
 }
 
+// What a rig's workload does with the bytes in its buffers.
+enum class Contents {
+  // The workload reads memory values (CAS/FAA results, content checks):
+  // its buffers are fresh and zero-filled.
+  kRead,
+  // The workload only times WRITE/READ traffic and never looks at a byte.
+  // The model's timing does not depend on payload bytes for WRITE/READ, so
+  // such a rig may take storage an earlier rig left dirty.
+  kUnread,
+};
+
+// Per-process pool of host storage for rig buffers. A sweep that builds
+// dozens of rigs over 256 MB-1 GB regions (Fig. 6) would otherwise map and
+// zero every buffer afresh while its few thousand ops touch a sliver of
+// it. Only Contents::kUnread requests are served from the pool; a kRead
+// request always gets a new zero-filled Buffer. Every buffer handed out
+// draws a fresh simulated address (Buffer::readdress), so the address
+// sequence, and with it every report, is that of constructing new buffers.
+// Idle storage is kept for one size at a time, the size of the latest
+// kUnread request, so the pool never holds more than the largest set of
+// buffers of one size that were alive together.
+class BufferPool {
+ public:
+  static BufferPool& instance() {
+    static BufferPool pool;
+    return pool;
+  }
+
+  verbs::Buffer take(std::size_t size, Contents contents) {
+    if (contents == Contents::kRead) return verbs::Buffer(size);
+    if (size != size_) {
+      idle_.clear();
+      size_ = size;
+    }
+    if (idle_.empty()) return verbs::Buffer(size);
+    verbs::Buffer b = std::move(idle_.back());
+    idle_.pop_back();
+    b.readdress();
+    return b;
+  }
+
+  // Storage of another size than the pool keeps is freed.
+  void give_back(verbs::Buffer&& b) {
+    if (b.size() == size_ && b.data() != nullptr)
+      idle_.push_back(std::move(b));
+  }
+
+  std::size_t idle() const { return idle_.size(); }
+
+ private:
+  std::size_t size_ = 0;
+  std::vector<verbs::Buffer> idle_;
+};
+
 // A microbench rig: machine0 -> machine1 with per-thread QPs over one
-// src/dst buffer pair (the §III experiments).
+// src/dst buffer pair (the §III experiments). `contents` says whether the
+// workload reads the buffers' bytes; see Contents and BufferPool.
 struct MicroRig {
   wl::Rig rig;
   verbs::Buffer src;
@@ -219,13 +274,22 @@ struct MicroRig {
   std::vector<verbs::QueuePair*> qps;
 
   MicroRig(std::size_t src_size, std::size_t dst_size, std::uint32_t threads,
-           hw::ModelParams params = hw::ModelParams::connectx3_cluster())
-      : rig(params), src(src_size), dst(dst_size) {
+           hw::ModelParams params = hw::ModelParams::connectx3_cluster(),
+           Contents contents = Contents::kRead)
+      : rig(params),
+        src(BufferPool::instance().take(src_size, contents)),
+        dst(BufferPool::instance().take(dst_size, contents)) {
     lmr = rig.ctx[0]->register_buffer(src, 1);
     rmr = rig.ctx[1]->register_buffer(dst, 1);
     for (std::uint32_t t = 0; t < threads; ++t)
       qps.push_back(rig.connect(0, 1).local);
   }
+  ~MicroRig() {
+    BufferPool::instance().give_back(std::move(src));
+    BufferPool::instance().give_back(std::move(dst));
+  }
+  MicroRig(const MicroRig&) = delete;
+  MicroRig& operator=(const MicroRig&) = delete;
 
   wl::BenchResult run(const verbs::WorkRequest& proto, std::uint32_t window,
                       std::uint64_t ops_per_client) {

@@ -18,7 +18,7 @@ FigureCollector collector("Ext. ablations", {"knob", "setting", "metric",
 double rand_write_mops(std::size_t sram_entries) {
   hw::ModelParams p;
   p.rnic_sram_entries = sram_entries;
-  bench::MicroRig rig(64u << 20, 64u << 20, 4, p);
+  bench::MicroRig rig(64u << 20, 64u << 20, 4, p, bench::Contents::kUnread);
   sim::Rng rng(17);
   wl::ClientSpec spec;
   spec.qps = rig.qps;

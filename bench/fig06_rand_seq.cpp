@@ -26,7 +26,8 @@ double pattern_mops(const char* panel, const char* pattern,
                     const std::string& x, verbs::Opcode op, bool src_random,
                     bool dst_random, std::size_t region, std::uint32_t size,
                     std::uint64_t ops) {
-  bench::MicroRig rig(region, region, 4);
+  bench::MicroRig rig(region, region, 4, hw::ModelParams::connectx3_cluster(),
+                      bench::Contents::kUnread);
   sim::Rng rng(13);
   std::uint64_t seq = 0;
   const std::uint64_t slots = region / size;

@@ -14,18 +14,24 @@ bench/selfbench_engine) and fails when the scheduler hot path got slower:
      speedup_trial) print as the spread. Alongside it, the
      datapath_allocs/steady point must be exactly 0: the steady-state
      single-SGE verbs hot path is not allowed to touch the heap.
-  2. Every workload's throughput, NORMALIZED by the in-run legacy
-     dispatch number (which anchors how fast the host is), must stay
-     within --tolerance (default 0.20) of the checked-in baseline
-     (bench/selfbench_baseline.json). This catches a regression in one
-     workload (e.g. coroutine churn, or the verbs datapath/fast row) that
-     the aggregate speedup hides.
+  2. Every workload's throughput, NORMALIZED by a legacy dispatch rate
+     (which anchors how fast the host is), must stay within --tolerance
+     (default 0.20) of the checked-in baseline
+     (bench/selfbench_baseline.json). A row with an anchor/<row> point is
+     divided by that anchor, timed next to the row's own trials; the
+     dispatch/calendar row, whose pairs already interleave with the
+     legacy engine, is divided by dispatch/legacy. This catches a
+     regression in one workload (e.g. coroutine churn, or the verbs
+     datapath/fast row) that the aggregate speedup hides.
   3. Raw Mevents/s vs the baseline's raw numbers is reported for context
      but only enforced with --strict-absolute, because absolute wall
      clock shifts with the machine the baseline was recorded on.
 
-Regenerate the baseline after an intentional engine change with
-  scripts/perf_gate.py BENCH_selfbench_engine.json --update-baseline
+Regenerate the baseline after an intentional engine change, from the
+reports of several back-to-back selfbench runs (each row is the lowest
+value over them, so the tolerance counts from the slowest healthy run the
+recording host produced), with
+  scripts/perf_gate.py run1.json run2.json ... --update-baseline
 and commit the result (procedure: docs/PERF.md).
 
 With --tenant-report BENCH_ext_tenant_scale.json the gate additionally
@@ -43,6 +49,7 @@ Stdlib only. Exit 0 = pass, 1 = regression, 2 = bad input.
 import argparse
 import json
 import os
+import statistics
 import sys
 
 BASELINE_SCHEMA = "rdmasem-perf-baseline-v1"
@@ -76,6 +83,82 @@ def load_points(path):
     if not points:
         die(f"{path}: no sweep points")
     return points
+
+
+def report_rows(path):
+    """-> (points, legacy, speedup, workloads, normalized) of one
+    selfbench report; workloads and normalized map "series/x" to
+    Mevents/s, raw and divided by the row's anchor (anchor/<row>, or the
+    in-run dispatch/legacy rate for a row without one)."""
+    report = load_report(path)
+    points = {(p["series"], p["x"]): float(p["mops"])
+              for p in report.get("points", [])}
+    if not points:
+        die(f"{path}: no sweep points")
+
+    legacy = points.get(("dispatch", "legacy"))
+    speedup = points.get(("speedup", "dispatch"))
+    if legacy is None or legacy <= 0:
+        die(f"{path}: report lacks a dispatch/legacy point")
+    if speedup is None:
+        die(f"{path}: report lacks a speedup/dispatch point")
+
+    # Workload rows: everything except the legacy anchors, the ratio rows
+    # and the allocation counter, which is an exact criterion of its own,
+    # not a throughput.
+    workloads = {
+        f"{series}/{x}": mops
+        for (series, x), mops in sorted(points.items())
+        if series not in ("anchor", "speedup", "speedup_trial",
+                          "datapath_allocs")
+        and (series, x) != ("dispatch", "legacy")
+    }
+    normalized = {}
+    for k, v in workloads.items():
+        anchor = points.get(("anchor", k), legacy)
+        if anchor <= 0:
+            die(f"{path}: anchor/{k} is not a positive rate")
+        normalized[k] = v / anchor
+    return points, legacy, speedup, workloads, normalized
+
+
+def update_baseline(paths, baseline_path):
+    """Writes the baseline as the per-row minimum over the reports. Wall
+    clock noise only ever slows a run down, so the minimum is the slowest
+    healthy run; a baseline at the median would fail healthy runs in the
+    lower half of the spread. Each normalized row's [min, median, max]
+    over the reports is recorded alongside as its spread."""
+    runs = [report_rows(p) for p in paths]
+    keys = sorted(set().union(*(set(r[3]) for r in runs)))
+    for p, r in zip(paths, runs):
+        missing = [k for k in keys if k not in r[3]]
+        if missing:
+            die(f"{p}: lacks rows {', '.join(missing)}")
+    norm = {k: [r[4][k] for r in runs] for k in keys}
+    baseline = {
+        "schema": BASELINE_SCHEMA,
+        "note": "regenerate with scripts/perf_gate.py <reports of several "
+                "runs> --update-baseline (see docs/PERF.md); each row is the "
+                "lowest over the runs; normalized = Mevents/s divided by "
+                "the row's anchor/<row> Mevents/s (dispatch/legacy for a "
+                "row without one)",
+        "runs": len(runs),
+        "speedup": round(min(r[2] for r in runs), 4),
+        "legacy_mev": round(min(r[1] for r in runs), 4),
+        "absolute_mev": {k: round(min(r[3][k] for r in runs), 4)
+                         for k in keys},
+        "normalized": {k: round(min(v), 4) for k, v in norm.items()},
+        "normalized_spread": {
+            k: [round(min(v), 4), round(statistics.median(v), 4), round(max(v), 4)]
+            for k, v in norm.items()},
+    }
+    with open(baseline_path, "w") as f:
+        json.dump(baseline, f, indent=2)
+        f.write("\n")
+    for k, v in norm.items():
+        print(f"perf_gate: {k}: normalized min {min(v):.3f}, median "
+              f"{statistics.median(v):.3f}, max {max(v):.3f} ({len(v)} runs)")
+    print(f"perf_gate: baseline updated: {baseline_path}")
 
 
 def sustained_tenants(points, series, tolerance):
@@ -120,7 +203,9 @@ def check_tenant_scaling(path, min_broker_ratio, min_dc_ratio, tolerance):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("report", help="BENCH_selfbench_engine.json from a run")
+    ap.add_argument("report", nargs="+",
+                    help="BENCH_selfbench_engine.json from a run (several "
+                         "with --update-baseline)")
     ap.add_argument("--baseline", default=DEFAULT_BASELINE,
                     help="checked-in baseline json (default: bench/)")
     ap.add_argument("--tolerance", type=float,
@@ -152,52 +237,21 @@ def main():
                     help="also enforce raw Mevents/s vs the baseline "
                          "(only meaningful on the baseline's machine)")
     ap.add_argument("--update-baseline", action="store_true",
-                    help="rewrite the baseline from this report and exit")
+                    help="rewrite the baseline from these reports (the "
+                         "per-row minimum) and exit")
     args = ap.parse_args()
 
-    report = load_report(args.report)
-    points = {(p["series"], p["x"]): float(p["mops"])
-              for p in report.get("points", [])}
-    if not points:
-        die(f"{args.report}: no sweep points")
-
-    legacy = points.get(("dispatch", "legacy"))
-    speedup = points.get(("speedup", "dispatch"))
-    if legacy is None or legacy <= 0:
-        die("report lacks a dispatch/legacy point")
-    if speedup is None:
-        die("report lacks a speedup/dispatch point")
-
-    # Workload rows: everything except the legacy anchor, the ratio rows
-    # and the allocation counter, which is an exact criterion of its own,
-    # not a throughput.
-    workloads = {
-        f"{series}/{x}": mops
-        for (series, x), mops in sorted(points.items())
-        if series not in ("speedup", "speedup_trial", "datapath_allocs")
-        and (series, x) != ("dispatch", "legacy")
-    }
-    normalized = {k: v / legacy for k, v in workloads.items()}
+    if args.update_baseline:
+        update_baseline(args.report, args.baseline)
+        return 0
+    if len(args.report) != 1:
+        die("the gate checks one report (several only with "
+            "--update-baseline)")
+    points, legacy, speedup, workloads, normalized = report_rows(
+        args.report[0])
 
     # Verbs-datapath steady-state allocation count.
     dp_allocs = points.get(("datapath_allocs", "steady"))
-
-    if args.update_baseline:
-        baseline = {
-            "schema": BASELINE_SCHEMA,
-            "note": "regenerate with scripts/perf_gate.py --update-baseline "
-                    "(see docs/PERF.md); normalized = Mevents/s divided by "
-                    "the in-run dispatch/legacy Mevents/s",
-            "speedup": round(speedup, 4),
-            "legacy_mev": round(legacy, 4),
-            "absolute_mev": {k: round(v, 4) for k, v in workloads.items()},
-            "normalized": {k: round(v, 4) for k, v in normalized.items()},
-        }
-        with open(args.baseline, "w") as f:
-            json.dump(baseline, f, indent=2)
-            f.write("\n")
-        print(f"perf_gate: baseline updated: {args.baseline}")
-        return 0
 
     try:
         with open(args.baseline) as f:

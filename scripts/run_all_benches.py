@@ -14,7 +14,9 @@ report with check_bench_json, and folds them into one BENCH_ALL.json:
   }
 
 The trajectory row is the number CI and humans track across commits:
-bench count, total sweep points, total table rows, and battery wall time.
+bench count, total sweep points, total table rows, battery wall time, and
+each bench's own wall time ("bench_seconds"; at --jobs > 1 benches share
+the host, so read them from serial rows).
 It prints as a single line, e.g.
 
   trajectory: 22 benches ok, 0 failed, 214 points, 131 rows, 418.2s wall
@@ -150,11 +152,13 @@ def main():
 
     t0 = time.monotonic()
     results = []
+    seconds = {}
     with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
         futures = [pool.submit(run_one, bench_dir, out_dir, n, args.timeout)
                    for n in names]
         for fut in concurrent.futures.as_completed(futures):
             name, report, err, sec = fut.result()
+            seconds[name] = round(sec, 2)
             status = "ok" if err is None else "FAIL"
             print(f"run_all_benches: {name}: {status} ({sec:.1f}s)")
             if err is not None:
@@ -193,6 +197,7 @@ def main():
         "table_rows": rows,
         "wall_seconds": round(wall, 1),
         "jobs": args.jobs,
+        "bench_seconds": dict(sorted(seconds.items())),
     }
 
     history = []

@@ -82,6 +82,12 @@ Buffer::Buffer(std::size_t size, std::size_t alignment) : size_(size) {
   sim_addr_ = take_sim_va(rounded, alignment);
 }
 
+void Buffer::readdress(std::size_t alignment) {
+  if (size_ == 0) return;
+  const std::size_t rounded = (size_ + alignment - 1) / alignment * alignment;
+  sim_addr_ = take_sim_va(rounded, alignment);
+}
+
 void Buffer::release() noexcept {
   if (mapped_ != 0)
     ::munmap(data_, mapped_);

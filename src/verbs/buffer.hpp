@@ -60,6 +60,13 @@ class Buffer {
   std::span<std::byte> span() { return {data_, size_}; }
   std::span<const std::byte> span() const { return {data_, size_}; }
 
+  // Gives this storage the simulated address that constructing a new
+  // Buffer of the same size and `alignment` would draw now, and keeps the
+  // bytes as they are. For callers that recycle storage whose contents no
+  // one reads (bench::BufferPool): the sequence of simulated addresses, and
+  // with it every model input, stays that of constructing fresh buffers.
+  void readdress(std::size_t alignment = 8192);
+
   template <typename T>
   T* as(std::size_t byte_offset = 0) {
     RDMASEM_CHECK(byte_offset + sizeof(T) <= size_);

@@ -28,6 +28,33 @@ bool is_atomic(Opcode op) {
 bool per_wr_target(Transport tp) {
   return tp == Transport::kUD || tp == Transport::kDc;
 }
+
+constexpr std::uintptr_t kCacheLine = 64;
+// Payloads up to this many bytes get every line prefetched at post;
+// longer copies stream and the CPU's own prefetcher keeps up with them.
+constexpr std::size_t kPrefetchMaxBytes = 4 * kCacheLine;
+
+// Host-side hint, not a memory access: asks the CPU to start fetching the
+// lines a WR's payload copy will touch. The landing/snapshot memcpy runs
+// microseconds of host time after the post, at a random offset of what may
+// be a large MR, and without the hint it waits on DRAM. Prefetches never
+// fault, read no value the simulation sees and move no simulated state.
+// Always inlined: GCC deems a function whose only effect is a prefetch
+// free of side effects and deletes the calls to it, hints and all.
+[[gnu::always_inline]] inline void prefetch_payload(const std::byte* p,
+                                                    std::size_t len,
+                                                    bool for_write) {
+  if (len == 0 || len > kPrefetchMaxBytes) return;
+  const auto first = reinterpret_cast<std::uintptr_t>(p) & ~(kCacheLine - 1);
+  const auto last = reinterpret_cast<std::uintptr_t>(p) + len - 1;
+  for (std::uintptr_t a = first; a <= last; a += kCacheLine) {
+    const auto* line = reinterpret_cast<const void*>(a);
+    if (for_write)
+      __builtin_prefetch(line, 1);
+    else
+      __builtin_prefetch(line, 0);
+  }
+}
 }  // namespace
 
 const char* to_string(Opcode op) {
@@ -280,10 +307,9 @@ sim::TaskT<Completion> QueuePair::execute_batch(std::vector<WorkRequest> wrs) {
 }
 
 QueuePair::Waiter* QueuePair::find_waiter(std::uint64_t wr_id) {
-  for (auto& w : waiters_) {
-    if (w.wr_id == wr_id) return &w;
-  }
-  return nullptr;
+  const auto it = std::find(waiter_ids_.begin(), waiter_ids_.end(), wr_id);
+  return it == waiter_ids_.end() ? nullptr
+                                 : &waiters_[it - waiter_ids_.begin()];
 }
 
 bool QueuePair::WaitAwaiter::await_ready() const {
@@ -294,9 +320,8 @@ bool QueuePair::WaitAwaiter::await_ready() const {
 void QueuePair::WaitAwaiter::await_suspend(std::coroutine_handle<> h) {
   Waiter* w = qp.find_waiter(wr_id);
   if (w == nullptr) {
-    qp.waiters_.emplace_back();
-    w = &qp.waiters_.back();
-    w->wr_id = wr_id;
+    qp.waiter_ids_.push_back(wr_id);
+    w = &qp.waiters_.emplace_back();
   }
   w->handle = h;
 }
@@ -305,9 +330,13 @@ Completion QueuePair::WaitAwaiter::await_resume() {
   Waiter* w = qp.find_waiter(wr_id);
   RDMASEM_CHECK(w != nullptr && w->done);
   const Completion c = w->result;
-  // Swap-pop erase: slot order carries no meaning, capacity is kept.
-  *w = std::move(qp.waiters_.back());
+  // Swap-pop erase of both arrays: slot order carries no meaning,
+  // capacity is kept.
+  const std::size_t slot = w - qp.waiters_.data();
+  *w = qp.waiters_.back();
   qp.waiters_.pop_back();
+  qp.waiter_ids_[slot] = qp.waiter_ids_.back();
+  qp.waiter_ids_.pop_back();
   return c;
 }
 
@@ -518,12 +547,27 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
     complete(wr, Status::kLocalProtectionError, 0);
     co_return;
   }
+  // READ responses and atomic results land in the local SGEs; every other
+  // opcode only reads them.
+  const bool lands_locally =
+      wr.opcode == Opcode::kRead || is_atomic(wr.opcode);
   for (const auto& sge : wr.sg_list) {
     const MemoryRegion* mr = ctx_.lookup(sge.lkey);
     if (mr == nullptr || !mr->contains(sge.addr, sge.length)) {
       complete(wr, Status::kLocalProtectionError, 0);
       co_return;
     }
+    prefetch_payload(mr->at(sge.addr), sge.length, lands_locally);
+  }
+  // The remote target gets the same hint. A missing or out-of-range target
+  // just gets none: the responder validates it below, as before.
+  if (wr.opcode == Opcode::kWrite || wr.opcode == Opcode::kRead ||
+      is_atomic(wr.opcode)) {
+    const std::size_t rlen = is_atomic(wr.opcode) ? 8 : total;
+    const MemoryRegion* rmr = peer->ctx_.lookup(wr.rkey);
+    if (rmr != nullptr && rmr->contains(wr.remote_addr, rlen))
+      prefetch_payload(rmr->at(wr.remote_addr), rlen,
+                       wr.opcode != Opcode::kRead);
   }
   const bool inlined = wr.inline_data && total <= P.rnic_max_inline;
   const bool carries_payload =

@@ -122,8 +122,9 @@ class QueuePair {
   // QP (typically the pipelining window, single digits), and the vector's
   // capacity is retained across WRs so the rendezvous never allocates at
   // steady state — a node-based map put one allocation on every execute().
+  // The scan reads the dense waiter_ids_ array (8 bytes a slot, not a
+  // whole Waiter); slot i of both vectors is the same waiter.
   struct Waiter {
-    std::uint64_t wr_id = 0;
     std::coroutine_handle<> handle{};
     Completion result{};
     bool done = false;
@@ -177,6 +178,7 @@ class QueuePair {
   std::uint64_t trace_seq_ = 0;
   std::deque<RecvRequest> recv_queue_;
   std::vector<Waiter> waiters_;
+  std::vector<std::uint64_t> waiter_ids_;  // waiter_ids_[i] names waiters_[i]
 };
 
 }  // namespace rdmasem::verbs

@@ -102,7 +102,6 @@ TEST(Soak, ShuffleConservesEveryEntryUnderChaos) {
   const auto r = shuffle.run();
 
   EXPECT_EQ(r.entries, cfg.entries_per_executor * cfg.executors);
-  EXPECT_EQ(r.checksum, shuffle.sent_checksum());
   EXPECT_EQ(shuffle.received_checksum(), shuffle.sent_checksum());
   EXPECT_GT(tb.cluster.fabric().drops(), 0u);  // the chaos actually bit
   wall.check("shuffle");

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "testbed.hpp"
 
@@ -274,4 +277,130 @@ TEST(VerbsEdge, GoldenDeterminism) {
   EXPECT_EQ(a, b);
   EXPECT_GT(a, sim::us(64));  // 64 writes cannot be faster than 1 us each
   EXPECT_LT(a, sim::us(200));
+}
+
+// A WR whose remote target is missing (an rkey nobody issued, or one
+// deregistered before or after the post) or out of range (past the end,
+// or below the start of the MR) completes with kRemoteAccessError, for
+// every opcode that names a remote address. The post-time payload
+// prefetch looks the target up too; it must neither fault on a bad
+// target nor stand in for the responder's check.
+TEST(VerbsEdge, BadRemoteTargetIsRemoteAccessErrorForEveryOpcode) {
+  enum class Fault { kUnissuedKey, kPastEnd, kBelowStart, kDeregistered,
+                     kDeregisteredInFlight };
+  const v::Opcode ops[] = {v::Opcode::kWrite, v::Opcode::kRead,
+                           v::Opcode::kCompSwap, v::Opcode::kFetchAdd};
+  const Fault faults[] = {Fault::kUnissuedKey, Fault::kPastEnd,
+                          Fault::kBelowStart, Fault::kDeregistered,
+                          Fault::kDeregisteredInFlight};
+  for (const v::Opcode op : ops) {
+    for (const Fault f : faults) {
+      SCOPED_TRACE(std::string(v::to_string(op)) + " fault " +
+                   std::to_string(static_cast<int>(f)));
+      Testbed tb;
+      v::Buffer src(4096), dst(4096);
+      auto* lmr = tb.ctx[0]->register_buffer(src, 1);
+      auto* rmr = tb.ctx[1]->register_buffer(dst, 1);
+      auto conn = tb.connect(0, 1);
+      std::memset(dst.data(), 0x5A, dst.size());
+
+      v::WorkRequest wr;
+      wr.opcode = op;
+      wr.sg_list = {{lmr->addr, 8, lmr->key}};
+      wr.rkey = rmr->key;
+      wr.remote_addr = rmr->addr + 64;
+      wr.compare = 0x5A5A5A5A5A5A5A5Aull;
+      wr.swap_or_add = 1;
+      switch (f) {
+        case Fault::kUnissuedKey: wr.rkey = rmr->key + 100; break;
+        case Fault::kPastEnd: wr.remote_addr = rmr->addr + 4096; break;
+        case Fault::kBelowStart: wr.remote_addr = rmr->addr - 64; break;
+        case Fault::kDeregistered: tb.ctx[1]->deregister(rmr->key); break;
+        case Fault::kDeregisteredInFlight:
+          // Deregistered just after the post (and its prefetch), long
+          // before the request crosses the wire to the responder.
+          tb.eng.spawn([](Testbed& t, sim::Duration after,
+                          std::uint32_t key) -> sim::Task {
+            co_await sim::delay(t.eng, after);
+            t.ctx[1]->deregister(key);
+          }(tb, conn.local->post_cost(1) + sim::ns(1), rmr->key));
+          break;
+      }
+      v::Completion got;
+      run(tb, [](v::QueuePair* qp, v::WorkRequest w,
+                 v::Completion& out) -> sim::Task {
+        out = co_await qp->execute(std::move(w));
+      }(conn.local, wr, got));
+      EXPECT_EQ(got.status, v::Status::kRemoteAccessError);
+      EXPECT_EQ(got.byte_len, 0u);
+      // Nothing landed on either side.
+      auto all_are = [](const v::Buffer& b, std::byte x) {
+        return std::all_of(b.span().begin(), b.span().end(),
+                           [x](std::byte y) { return y == x; });
+      };
+      EXPECT_TRUE(all_are(dst, std::byte{0x5A}));
+      EXPECT_TRUE(all_are(src, std::byte{0}));
+      EXPECT_EQ(conn.local->outstanding(), 0u);
+    }
+  }
+}
+
+// Many execute()s in flight on one QP, completing out of post order:
+// zero-length READs skip the responder's DMA and memory stages and
+// overtake the larger READs posted before them. Every waiter must still
+// get its own wr_id's completion (the rendezvous matches by id, not by
+// slot or order).
+TEST(VerbsEdge, OutOfOrderCompletionsReachTheirOwnWaiters) {
+  constexpr int kWrs = 40;
+  Testbed tb;
+  v::Buffer local(1 << 20), remote(1 << 20);
+  auto* lmr = tb.ctx[0]->register_buffer(local, 1);
+  auto* rmr = tb.ctx[1]->register_buffer(remote, 1);
+  auto conn = tb.connect(0, 1);
+  for (std::size_t i = 0; i < remote.size(); ++i)
+    remote.data()[i] = static_cast<std::byte>(i * 7 + 3);
+
+  struct Seen {
+    std::uint64_t posted_id = 0;
+    v::Completion c;
+  };
+  std::vector<Seen> seen(kWrs);
+  std::vector<int> finish_order;
+  auto size_of = [](int i) -> std::uint32_t {
+    switch (i % 4) {
+      case 0: return 16384;
+      case 1: return 0;
+      case 2: return 2048;
+      default: return 32;
+    }
+  };
+  for (int i = 0; i < kWrs; ++i) {
+    tb.eng.spawn([](v::QueuePair* qp, v::WorkRequest wr, Seen& out,
+                    std::vector<int>& order, int idx) -> sim::Task {
+      wr.wr_id = 1000 + static_cast<std::uint64_t>(idx) * 3;
+      out.posted_id = wr.wr_id;
+      out.c = co_await qp->execute(std::move(wr));
+      order.push_back(idx);
+    }(conn.local,
+      make_read(*lmr, static_cast<std::uint64_t>(i) * 16384, *rmr,
+                static_cast<std::uint64_t>(i) * 16384, size_of(i)),
+      seen[i], finish_order, i));
+  }
+  tb.eng.run();
+
+  ASSERT_EQ(finish_order.size(), static_cast<std::size_t>(kWrs));
+  int inversions = 0;
+  for (int i = 1; i < kWrs; ++i)
+    if (finish_order[i] < finish_order[i - 1]) ++inversions;
+  EXPECT_GT(inversions, 0) << "completions arrived in post order";
+  for (int i = 0; i < kWrs; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_TRUE(seen[i].c.ok());
+    EXPECT_EQ(seen[i].c.wr_id, seen[i].posted_id);
+    EXPECT_EQ(seen[i].c.byte_len, size_of(i));
+    const std::size_t off = static_cast<std::size_t>(i) * 16384;
+    EXPECT_EQ(std::memcmp(local.data() + off, remote.data() + off, size_of(i)),
+              0);
+  }
+  EXPECT_EQ(conn.local->outstanding(), 0u);
 }
