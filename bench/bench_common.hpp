@@ -3,17 +3,15 @@
 // Shared pieces of the figure/table reproduction harness.
 //
 // Every bench binary follows the same pattern:
-//   * each sweep point is a google-benchmark entry that runs the
-//     simulation once and reports SIMULATED time via manual timing
-//     (counters carry MOPS / latency in paper units);
-//   * every point also appends a row to a collector, and main() prints
-//     the paper-style table after the gbench run — the rows a reader
-//     compares against the paper's figure.
+//   * a sweep function walks the figure's points in plain loops; each
+//     point runs the simulation once and appends a row to a collector
+//     (and a structured row to the report);
+//   * main() runs the sweep, prints the paper-style table (the rows a
+//     reader compares against the paper's figure), then the profile
+//     sections and BENCH_<name>.json (finish()).
 //
 // Workload sizes honor the RDMASEM_* environment knobs (README) so the
 // paper-scale runs are reproducible on bigger machines.
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <map>
@@ -189,14 +187,8 @@ inline void finish(const char* argv0, const FigureCollector& collector) {
     r.set_resource_waits_json(resource_waits().json());
   if (!critical_path().empty())
     r.set_critical_path_json(critical_path().json());
-  if (!engine_profile().empty()) {
-    const std::string ejson = engine_profile().json();
-    r.set_engine_profile_json(ejson);
-    const std::string epath =
-        util::env_str("RDMASEM_PROF_OUT", dir + "/ENGINE_PROFILE.json");
-    if (!epath.empty() && obs::write_text_file(epath, ejson))
-      std::fprintf(stderr, "engine profile: %s\n", epath.c_str());
-  }
+  if (!engine_profile().empty())
+    r.set_engine_profile_json(engine_profile().json());
   if (!trace_spans().empty()) {
     const std::string tpath = dir + "/trace_" + name + ".json";
     if (obs::write_text_file(
@@ -309,19 +301,6 @@ inline std::uint64_t micro_ops(std::uint64_t def = 8000) {
   return util::env_u64("RDMASEM_MICRO_OPS", def);
 }
 
-// Reports a result through google-benchmark: manual time = simulated time,
-// plus MOPS / latency counters in paper units. Failed completions are
-// surfaced as an `errors` counter and (when non-zero) a per-Status label
-// instead of accumulating silently.
-inline void report(benchmark::State& state, const wl::BenchResult& r) {
-  state.SetIterationTime(sim::to_sec(r.elapsed));
-  state.counters["sim_MOPS"] = r.mops;
-  state.counters["sim_lat_us"] = r.avg_latency_us;
-  state.counters["per_thread_MOPS"] = r.per_thread_mops;
-  state.counters["errors"] = static_cast<double>(r.errors);
-  if (r.errors) state.SetLabel(r.error_breakdown());
-}
-
 // Table cell for the errors column of a paper-style table.
 inline std::string errors_cell(const wl::BenchResult& r) {
   return r.errors ? std::to_string(r.errors) + " (" + r.error_breakdown() + ")"
@@ -330,15 +309,18 @@ inline std::string errors_cell(const wl::BenchResult& r) {
 
 }  // namespace rdmasem::bench
 
-// Custom main: run the registered benchmarks, then print the paper table.
-#define RDMASEM_BENCH_MAIN(collector)                         \
-  int main(int argc, char** argv) {                           \
-    ::benchmark::Initialize(&argc, argv);                     \
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv)) \
-      return 1;                                               \
-    ::benchmark::RunSpecifiedBenchmarks();                    \
-    ::benchmark::Shutdown();                                  \
-    (collector).print();                                      \
-    ::rdmasem::bench::finish(argv[0], (collector));           \
-    return 0;                                                 \
+// Custom main: run the sweep, then print the paper table and write the
+// report. The binaries take no arguments (workload sizes come from the
+// RDMASEM_* env knobs); any argument is rejected before a point runs, so a
+// typo cannot leave a partial BENCH_<name>.json over a real one.
+#define RDMASEM_BENCH_MAIN(sweep, collector)                             \
+  int main(int argc, char** argv) {                                      \
+    if (argc > 1) {                                                      \
+      std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]); \
+      return 2;                                                          \
+    }                                                                    \
+    sweep();                                                             \
+    (collector).print();                                                 \
+    ::rdmasem::bench::finish(argv[0], (collector));                      \
+    return 0;                                                            \
   }

@@ -40,29 +40,23 @@ dl::Config base_config(std::uint32_t retry_cnt) {
   return cfg;
 }
 
-// range(0) == 0: clean rehearsal (no crash) — the baseline row and the
+// retry_cnt == 0: clean rehearsal (no crash) — the baseline row and the
 // source of the mid-run crash time for the rows that follow.
-void BM_ext_fault(benchmark::State& state) {
-  const auto retry_cnt = static_cast<std::uint32_t>(state.range(0));
+void ext_fault(std::uint32_t retry_cnt) {
   const bool crash = retry_cnt > 0;
-  dl::Result r;
-  bool intact = false, survivor_ok = false;
   sim::Time crash_at = 0;
-  for (auto _ : state) {
-    wl::Rig rig;
-    const auto cfg = base_config(crash ? retry_cnt : 3);
-    if (crash) {
-      crash_at = g_clean_elapsed / 2;
-      fault::FaultPlan plan;
-      plan.crash(crash_at, rig.cluster.size() - 1);  // replica 0's host
-      rig.cluster.inject(plan);
-    }
-    dl::DistributedLog log(rig.contexts(), cfg);
-    r = log.run();
-    intact = log.verify_dense_and_intact();
-    survivor_ok = !crash || log.recover_from_replica(1);
-    state.SetIterationTime(sim::to_sec(r.elapsed));
+  wl::Rig rig;
+  const auto cfg = base_config(crash ? retry_cnt : 3);
+  if (crash) {
+    crash_at = g_clean_elapsed / 2;
+    fault::FaultPlan plan;
+    plan.crash(crash_at, rig.cluster.size() - 1);  // replica 0's host
+    rig.cluster.inject(plan);
   }
+  dl::DistributedLog log(rig.contexts(), cfg);
+  const dl::Result r = log.run();
+  const bool intact = log.verify_dense_and_intact();
+  const bool survivor_ok = !crash || log.recover_from_replica(1);
   if (!crash) {
     g_clean = r.mops;
     g_clean_elapsed = r.elapsed;
@@ -71,9 +65,6 @@ void BM_ext_fault(benchmark::State& state) {
       r.first_failover_at > crash_at
           ? sim::to_us(r.first_failover_at - crash_at)
           : 0;
-  state.counters["MOPS"] = r.mops;
-  state.counters["recovery_us"] = recovery_us;
-  state.counters["failovers"] = static_cast<double>(r.failovers);
   collector.add({crash ? std::to_string(retry_cnt) : "no crash",
                  util::fmt(r.mops),
                  g_clean > 0 ? util::fmt(r.mops / g_clean) + "x" : "-",
@@ -82,12 +73,11 @@ void BM_ext_fault(benchmark::State& state) {
                  survivor_ok ? "yes" : "NO"});
 }
 
-BENCHMARK(BM_ext_fault)
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(6)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+void sweep() {
+  for (const std::uint32_t retry_cnt : {0, 1, 2, 3, 4, 6})
+    ext_fault(retry_cnt);
+}
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+RDMASEM_BENCH_MAIN(sweep, collector)

@@ -32,26 +32,17 @@ double run_dir(sh::Direction dir, std::uint32_t chunk) {
   return r.mops;
 }
 
-void BM_ext_push_pull(benchmark::State& state) {
-  const auto chunk = static_cast<std::uint32_t>(state.range(0));
-  double push = 0, pull = 0;
-  for (auto _ : state) {
-    push = run_dir(sh::Direction::kPush, chunk);
-    pull = run_dir(sh::Direction::kPull, chunk);
-    state.SetIterationTime(1e-3);
-  }
-  state.counters["push_MOPS"] = push;
-  state.counters["pull_MOPS"] = pull;
+void ext_push_pull(std::uint32_t chunk) {
+  const double push = run_dir(sh::Direction::kPush, chunk);
+  const double pull = run_dir(sh::Direction::kPull, chunk);
   collector.add({std::to_string(chunk), util::fmt(push), util::fmt(pull),
                  util::fmt(push / pull) + "x"});
 }
 
-BENCHMARK(BM_ext_push_pull)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+void sweep() {
+  for (const std::uint32_t chunk : {1, 2, 4, 8, 16, 32}) ext_push_pull(chunk);
+}
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+RDMASEM_BENCH_MAIN(sweep, collector)

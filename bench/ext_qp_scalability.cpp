@@ -121,25 +121,15 @@ double run_ud(std::uint32_t clients, std::uint64_t ops) {
          sim::to_us(end);
 }
 
-void BM_ext_qp(benchmark::State& state) {
-  const auto clients = static_cast<std::uint32_t>(state.range(0));
+void ext_qp(std::uint32_t clients) {
   const std::uint64_t ops = bench::micro_ops(800) / 4 + 50;
-  double rc = 0, ud = 0, hit = 0;
-  for (auto _ : state) {
-    rc = run_rc(clients, ops, &hit);
-    ud = run_ud(clients, ops);
-    state.SetIterationTime(1e-3);
-  }
+  double hit = 0;
+  const double rc = run_rc(clients, ops, &hit);
+  const double ud = run_ud(clients, ops);
   // Connection count is the experiment's independent variable made
   // explicit: the RC server carries one QP per client while the UD server
   // always carries one, which is why only RC's metadata cache degrades.
   const double miss = 1.0 - hit;
-  state.counters["RC_MOPS"] = rc;
-  state.counters["UD_MOPS"] = ud;
-  state.counters["RC_server_conns"] = static_cast<double>(clients);
-  state.counters["UD_server_conns"] = 1;
-  state.counters["RC_mcache_hit"] = hit;
-  state.counters["RC_mcache_miss"] = miss;
   const std::string x = std::to_string(clients);
   bench::point_mops("RC", x, rc);
   bench::point_mops("UD", x, ud);
@@ -149,12 +139,10 @@ void BM_ext_qp(benchmark::State& state) {
                  "1", util::fmt(hit, 3), util::fmt(miss, 3)});
 }
 
-BENCHMARK(BM_ext_qp)
-    ->Arg(8)->Arg(40)->Arg(120)->Arg(240)->Arg(480)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+void sweep() {
+  for (const std::uint32_t clients : {8, 40, 120, 240, 480}) ext_qp(clients);
+}
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+RDMASEM_BENCH_MAIN(sweep, collector)

@@ -19,37 +19,27 @@ FigureCollector collector(
 
 double g_base = 0;
 
-void BM_ext_repl(benchmark::State& state) {
-  const auto replicas = static_cast<std::uint32_t>(state.range(0));
-  double mops = 0;
-  bool identical = false;
-  for (auto _ : state) {
-    wl::Rig rig;
-    dl::Config cfg;
-    cfg.engines = 7;
-    cfg.records_per_engine = util::env_u64("RDMASEM_DLOG_RECORDS", 2048);
-    cfg.batch_size = 16;
-    cfg.replicas = replicas;
-    dl::DistributedLog log(rig.contexts(), cfg);
-    const auto r = log.run();
-    RDMASEM_CHECK_MSG(log.verify_dense_and_intact(), "log corrupted");
-    mops = r.mops;
-    identical = log.verify_replicas_identical();
-    state.SetIterationTime(sim::to_sec(r.elapsed));
-  }
-  if (replicas == 1) g_base = mops;
-  state.counters["MOPS"] = mops;
-  collector.add({std::to_string(replicas), util::fmt(mops),
-                 g_base > 0 ? util::fmt(mops / g_base) + "x" : "-",
+void ext_repl(std::uint32_t replicas) {
+  wl::Rig rig;
+  dl::Config cfg;
+  cfg.engines = 7;
+  cfg.records_per_engine = util::env_u64("RDMASEM_DLOG_RECORDS", 2048);
+  cfg.batch_size = 16;
+  cfg.replicas = replicas;
+  dl::DistributedLog log(rig.contexts(), cfg);
+  const auto r = log.run();
+  RDMASEM_CHECK_MSG(log.verify_dense_and_intact(), "log corrupted");
+  const bool identical = log.verify_replicas_identical();
+  if (replicas == 1) g_base = r.mops;
+  collector.add({std::to_string(replicas), util::fmt(r.mops),
+                 g_base > 0 ? util::fmt(r.mops / g_base) + "x" : "-",
                  identical ? "yes" : "NO"});
 }
 
-BENCHMARK(BM_ext_repl)
-    ->Arg(1)->Arg(2)->Arg(3)->Arg(4)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+void sweep() {
+  for (const std::uint32_t replicas : {1, 2, 3, 4}) ext_repl(replicas);
+}
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+RDMASEM_BENCH_MAIN(sweep, collector)

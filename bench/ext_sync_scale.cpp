@@ -88,34 +88,24 @@ constexpr LockSeries kSeries[] = {
     {"lease", kv::LockMode::kLease},
 };
 
-void BM_sync_scale(benchmark::State& state) {
-  const auto& series = kSeries[state.range(0)];
-  const auto workers = static_cast<std::uint32_t>(state.range(1));
-  kv::Result r;
-  std::uint64_t p50 = 0, p99 = 0;
-  for (auto _ : state) {
-    wl::Rig rig;
-    kv::Config cfg;
-    cfg.workers = workers;
-    cfg.ops_per_worker = util::env_u64("RDMASEM_SYNC_OPS", 384);
-    cfg.num_keys = util::env_u64("RDMASEM_SYNC_KEYS", 16);
-    cfg.zipf_theta = 0.99;
-    cfg.get_fraction = 0.5;
-    cfg.lock = series.mode;
-    cfg.mcs_max_clients = workers;
-    cfg.seed = 42 + workers;
-    cfg.record_history = false;  // perf run: no oracle bookkeeping
-    kv::TxKv store(rig.contexts(), cfg);
-    r = store.run();
-    p50 = store.lock_wait_ns().quantile_bound(0.5);
-    p99 = store.lock_wait_ns().quantile_bound(0.99);
-    g_agg.fold(store.lock_wait_ns());
-    bench::absorb(rig.cluster);
-    state.SetIterationTime(sim::to_sec(r.elapsed));
-  }
-  state.counters["sim_MOPS"] = r.mops;
-  state.counters["abort_rate"] = r.abort_rate;
-  state.counters["p99_wait_ns"] = static_cast<double>(p99);
+void sync_scale(const LockSeries& series, std::uint32_t workers) {
+  wl::Rig rig;
+  kv::Config cfg;
+  cfg.workers = workers;
+  cfg.ops_per_worker = util::env_u64("RDMASEM_SYNC_OPS", 384);
+  cfg.num_keys = util::env_u64("RDMASEM_SYNC_KEYS", 16);
+  cfg.zipf_theta = 0.99;
+  cfg.get_fraction = 0.5;
+  cfg.lock = series.mode;
+  cfg.mcs_max_clients = workers;
+  cfg.seed = 42 + workers;
+  cfg.record_history = false;  // perf run: no oracle bookkeeping
+  kv::TxKv store(rig.contexts(), cfg);
+  const kv::Result r = store.run();
+  const std::uint64_t p50 = store.lock_wait_ns().quantile_bound(0.5);
+  const std::uint64_t p99 = store.lock_wait_ns().quantile_bound(0.99);
+  g_agg.fold(store.lock_wait_ns());
+  bench::absorb(rig.cluster);
 
   const std::string x = std::to_string(workers);
   bench::point_mops(series.name, x, r.mops);
@@ -131,17 +121,12 @@ void BM_sync_scale(benchmark::State& state) {
   bench::report().set_sync_json(g_agg.json());
 }
 
-void register_benches() {
-  for (std::size_t s = 0; s < std::size(kSeries); ++s)
-    for (const int w : {2, 4, 8, 16})
-      benchmark::RegisterBenchmark("BM_sync_scale", BM_sync_scale)
-          ->Args({static_cast<long>(s), w})
-          ->UseManualTime()
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+void sweep() {
+  for (const LockSeries& series : kSeries)
+    for (const std::uint32_t workers : {2, 4, 8, 16})
+      sync_scale(series, workers);
 }
-const int g_registered = (register_benches(), 0);
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+RDMASEM_BENCH_MAIN(sweep, collector)

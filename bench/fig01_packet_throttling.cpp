@@ -18,69 +18,49 @@ FigureCollector collector(
     {"size", "write_lat_us", "read_lat_us", "write_MOPS", "read_MOPS",
      "errors"});
 
-struct Point {
-  double wlat, rlat, wmops, rmops, wp99;
-};
-
-void BM_fig1(benchmark::State& state) {
-  const auto size = static_cast<std::uint32_t>(state.range(0));
-  Point p{};
-  wl::BenchResult wr, rr;
+void fig1(std::uint32_t size) {
   const std::string x = util::fmt_bytes(size);
-  for (auto _ : state) {
-    {
-      MicroRig rig(1 << 14, 1 << 14, 1);
-      const auto wres = rig.run(
-          wl::make_write(*rig.lmr, 0, *rig.rmr, 0, size), 1,
-          bench::micro_ops(400));
-      p.wlat = wres.avg_latency_us;
-      p.wp99 = wres.p99_latency_us;
-      bench::point("write_lat", x, wres);
-    }
-    {
-      MicroRig rig(1 << 14, 1 << 14, 1);
-      const auto rres = rig.run(wl::make_read(*rig.lmr, 0, *rig.rmr, 0, size),
-                                1, bench::micro_ops(400));
-      p.rlat = rres.avg_latency_us;
-      bench::point("read_lat", x, rres);
-    }
-    {
-      MicroRig rig(1 << 14, 1 << 14, 4);
-      wr = rig.run(wl::make_write(*rig.lmr, 0, *rig.rmr, 0, size), 16,
-                   bench::micro_ops());
-      p.wmops = wr.mops;
-      bench::point("write_tput", x, wr);
-    }
-    {
-      MicroRig rig(1 << 14, 1 << 14, 4);
-      rr = rig.run(wl::make_read(*rig.lmr, 0, *rig.rmr, 0, size), 16,
-                   bench::micro_ops());
-      p.rmops = rr.mops;
-      bench::point("read_tput", x, rr);
-    }
-    state.SetIterationTime(sim::to_sec(wr.elapsed + rr.elapsed));
+  double wlat = 0, rlat = 0;
+  wl::BenchResult wr, rr;
+  {
+    MicroRig rig(1 << 14, 1 << 14, 1);
+    const auto wres = rig.run(wl::make_write(*rig.lmr, 0, *rig.rmr, 0, size),
+                              1, bench::micro_ops(400));
+    wlat = wres.avg_latency_us;
+    bench::point("write_lat", x, wres);
   }
-  state.counters["write_lat_us"] = p.wlat;
-  state.counters["read_lat_us"] = p.rlat;
-  state.counters["write_p99_us"] = p.wp99;
-  state.counters["write_MOPS"] = p.wmops;
-  state.counters["read_MOPS"] = p.rmops;
+  {
+    MicroRig rig(1 << 14, 1 << 14, 1);
+    const auto rres = rig.run(wl::make_read(*rig.lmr, 0, *rig.rmr, 0, size),
+                              1, bench::micro_ops(400));
+    rlat = rres.avg_latency_us;
+    bench::point("read_lat", x, rres);
+  }
+  {
+    MicroRig rig(1 << 14, 1 << 14, 4);
+    wr = rig.run(wl::make_write(*rig.lmr, 0, *rig.rmr, 0, size), 16,
+                 bench::micro_ops());
+    bench::point("write_tput", x, wr);
+  }
+  {
+    MicroRig rig(1 << 14, 1 << 14, 4);
+    rr = rig.run(wl::make_read(*rig.lmr, 0, *rig.rmr, 0, size), 16,
+                 bench::micro_ops());
+    bench::point("read_tput", x, rr);
+  }
   wr.errors += rr.errors;
   for (std::size_t i = 0; i < wr.by_status.size(); ++i)
     wr.by_status[i] += rr.by_status[i];
-  state.counters["errors"] = static_cast<double>(wr.errors);
-  collector.add({util::fmt_bytes(size), util::fmt(p.wlat), util::fmt(p.rlat),
-                 util::fmt(p.wmops), util::fmt(p.rmops),
-                 bench::errors_cell(wr)});
+  collector.add({x, util::fmt(wlat), util::fmt(rlat), util::fmt(wr.mops),
+                 util::fmt(rr.mops), bench::errors_cell(wr)});
 }
 
-BENCHMARK(BM_fig1)
-    ->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)
-    ->Arg(256)->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096)->Arg(8192)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+void sweep() {
+  for (const std::uint32_t size :
+       {2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192})
+    fig1(size);
+}
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+RDMASEM_BENCH_MAIN(sweep, collector)

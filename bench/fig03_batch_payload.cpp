@@ -64,62 +64,49 @@ double local_mops(std::uint32_t size, std::uint32_t batch,
          sim::to_us(total);
 }
 
-void BM_fig3(benchmark::State& state) {
-  const auto size = static_cast<std::uint32_t>(state.range(0));
-  const auto batch = static_cast<std::uint32_t>(state.range(1));
+void fig3(std::uint32_t size, std::uint32_t batch) {
   const std::uint64_t reps = bench::micro_ops(2000) / batch + 1;
-  double db = 0, sgl = 0, sp = 0, local = 0;
-  for (auto _ : state) {
-    sim::Duration elapsed = 0;
-    {
-      wl::Rig rig;
-      verbs::Buffer src(1 << 18), dst(1 << 18);
-      auto* lmr = rig.ctx[0]->register_buffer(src, 1);
-      auto* rmr = rig.ctx[1]->register_buffer(dst, 1);
-      auto conn = rig.connect(0, 1);
-      remem::DoorbellBatcher b(*conn.local);
-      db = batcher_mops(b, rig, lmr, rmr, size, batch, reps);
-      elapsed += rig.eng.now();
-    }
-    {
-      wl::Rig rig;
-      verbs::Buffer src(1 << 18), dst(1 << 18);
-      auto* lmr = rig.ctx[0]->register_buffer(src, 1);
-      auto* rmr = rig.ctx[1]->register_buffer(dst, 1);
-      auto conn = rig.connect(0, 1);
-      remem::SglBatcher b(*conn.local);
-      sgl = batcher_mops(b, rig, lmr, rmr, size, batch, reps);
-      elapsed += rig.eng.now();
-    }
-    {
-      wl::Rig rig;
-      verbs::Buffer src(1 << 18), dst(1 << 18);
-      auto* lmr = rig.ctx[0]->register_buffer(src, 1);
-      auto* rmr = rig.ctx[1]->register_buffer(dst, 1);
-      auto conn = rig.connect(0, 1);
-      remem::SpBatcher b(*conn.local, static_cast<std::size_t>(size) * batch);
-      sp = batcher_mops(b, rig, lmr, rmr, size, batch, reps);
-      elapsed += rig.eng.now();
-    }
-    local = local_mops(size, batch, reps);
-    state.SetIterationTime(sim::to_sec(elapsed));
+  double db = 0, sgl = 0, sp = 0;
+  {
+    wl::Rig rig;
+    verbs::Buffer src(1 << 18), dst(1 << 18);
+    auto* lmr = rig.ctx[0]->register_buffer(src, 1);
+    auto* rmr = rig.ctx[1]->register_buffer(dst, 1);
+    auto conn = rig.connect(0, 1);
+    remem::DoorbellBatcher b(*conn.local);
+    db = batcher_mops(b, rig, lmr, rmr, size, batch, reps);
   }
-  state.counters["Doorbell_MOPS"] = db;
-  state.counters["SGL_MOPS"] = sgl;
-  state.counters["SP_MOPS"] = sp;
-  state.counters["Local_MOPS"] = local;
+  {
+    wl::Rig rig;
+    verbs::Buffer src(1 << 18), dst(1 << 18);
+    auto* lmr = rig.ctx[0]->register_buffer(src, 1);
+    auto* rmr = rig.ctx[1]->register_buffer(dst, 1);
+    auto conn = rig.connect(0, 1);
+    remem::SglBatcher b(*conn.local);
+    sgl = batcher_mops(b, rig, lmr, rmr, size, batch, reps);
+  }
+  {
+    wl::Rig rig;
+    verbs::Buffer src(1 << 18), dst(1 << 18);
+    auto* lmr = rig.ctx[0]->register_buffer(src, 1);
+    auto* rmr = rig.ctx[1]->register_buffer(dst, 1);
+    auto conn = rig.connect(0, 1);
+    remem::SpBatcher b(*conn.local, static_cast<std::size_t>(size) * batch);
+    sp = batcher_mops(b, rig, lmr, rmr, size, batch, reps);
+  }
+  const double local = local_mops(size, batch, reps);
   collector.add({util::fmt_bytes(size), std::to_string(batch),
                  util::fmt(db), util::fmt(sgl), util::fmt(sp),
                  util::fmt(local)});
 }
 
-BENCHMARK(BM_fig3)
-    ->ArgsProduct({{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048},
-                   {4, 16}})
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+void sweep() {
+  for (const std::uint32_t batch : {4, 16})
+    for (const std::uint32_t size :
+         {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048})
+      fig3(size, batch);
+}
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+RDMASEM_BENCH_MAIN(sweep, collector)

@@ -68,29 +68,19 @@ double per_thread_mops(Kind kind, std::uint32_t threads,
          threads / sim::to_us(end) / threads;
 }
 
-void BM_fig5(benchmark::State& state) {
-  const auto threads = static_cast<std::uint32_t>(state.range(0));
+void fig5(std::uint32_t threads) {
   const std::uint64_t reps = bench::micro_ops(2000) / kBatch + 1;
-  double db = 0, sgl = 0, sp = 0;
-  for (auto _ : state) {
-    db = per_thread_mops(Kind::kDoorbell, threads, reps);
-    sgl = per_thread_mops(Kind::kSgl, threads, reps);
-    sp = per_thread_mops(Kind::kSp, threads, reps);
-    state.SetIterationTime(1e-3);
-  }
-  state.counters["Doorbell_per_thread"] = db;
-  state.counters["SGL_per_thread"] = sgl;
-  state.counters["SP_per_thread"] = sp;
+  const double db = per_thread_mops(Kind::kDoorbell, threads, reps);
+  const double sgl = per_thread_mops(Kind::kSgl, threads, reps);
+  const double sp = per_thread_mops(Kind::kSp, threads, reps);
   collector.add({std::to_string(threads), util::fmt(db), util::fmt(sgl),
                  util::fmt(sp)});
 }
 
-BENCHMARK(BM_fig5)
-    ->DenseRange(1, 8, 1)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+void sweep() {
+  for (std::uint32_t threads = 1; threads <= 8; ++threads) fig5(threads);
+}
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+RDMASEM_BENCH_MAIN(sweep, collector)

@@ -51,35 +51,25 @@ double pattern_mops(const char* panel, const char* pattern,
   return r.mops;
 }
 
-void sweep_panel(benchmark::State& state, verbs::Opcode op, const char* name) {
-  const auto size = static_cast<std::uint32_t>(state.range(0));
+// (a)/(b) remote READ/WRITE, all four patterns at one payload size.
+void fig6_remote(verbs::Opcode op, const char* name, std::uint32_t size) {
   const std::size_t region = util::env_u64("RDMASEM_FIG6_REGION", 256u << 20);
   const std::uint64_t ops = bench::micro_ops(4000);
   const std::string x = util::fmt_bytes(size);
-  double ss = 0, sr = 0, rs = 0, rr = 0;
-  for (auto _ : state) {
-    ss = pattern_mops(name, "seq-seq", x, op, false, false, region, size, ops);
-    sr = pattern_mops(name, "seq-rand", x, op, false, true, region, size, ops);
-    rs = pattern_mops(name, "rand-seq", x, op, true, false, region, size, ops);
-    rr = pattern_mops(name, "rand-rand", x, op, true, true, region, size, ops);
-    state.SetIterationTime(1e-3);
-  }
-  state.counters["seq_seq"] = ss;
-  state.counters["rand_rand"] = rr;
+  const double ss =
+      pattern_mops(name, "seq-seq", x, op, false, false, region, size, ops);
+  const double sr =
+      pattern_mops(name, "seq-rand", x, op, false, true, region, size, ops);
+  const double rs =
+      pattern_mops(name, "rand-seq", x, op, true, false, region, size, ops);
+  const double rr =
+      pattern_mops(name, "rand-rand", x, op, true, true, region, size, ops);
   collector.add({name, util::fmt_bytes(size), util::fmt(ss), util::fmt(sr),
                  util::fmt(rs), util::fmt(rr)});
 }
 
-void BM_fig6a_read(benchmark::State& state) {
-  sweep_panel(state, verbs::Opcode::kRead, "a:read");
-}
-void BM_fig6b_write(benchmark::State& state) {
-  sweep_panel(state, verbs::Opcode::kWrite, "b:write");
-}
-
 // (c) Local DRAM seq vs rand.
-void BM_fig6c_local(benchmark::State& state) {
-  const auto size = static_cast<std::uint32_t>(state.range(0));
+void fig6_local(std::uint32_t size) {
   const std::uint64_t n = bench::micro_ops(20000);
   const std::uint64_t region = 1u << 30;
   auto run_local = [&](bool write, bool random) {
@@ -97,59 +87,43 @@ void BM_fig6c_local(benchmark::State& state) {
     }
     return static_cast<double>(n) / sim::to_us(total);
   };
-  double ws = 0, wr = 0, rs = 0, rr = 0;
-  for (auto _ : state) {
-    ws = run_local(true, false);
-    wr = run_local(true, true);
-    rs = run_local(false, false);
-    rr = run_local(false, true);
-    state.SetIterationTime(1e-3);
-  }
-  state.counters["write_seq"] = ws;
-  state.counters["write_rand"] = wr;
+  const double ws = run_local(true, false);
+  const double wr = run_local(true, true);
+  const double rs = run_local(false, false);
+  const double rr = run_local(false, true);
   collector.add({"c:local", util::fmt_bytes(size), util::fmt(ws) + "/w",
                  util::fmt(rs) + "/r", util::fmt(wr) + "/w",
                  util::fmt(rr) + "/r"});
 }
 
 // (d) 32 B writes vs registered-region size.
-void BM_fig6d_region(benchmark::State& state) {
-  const std::size_t region = static_cast<std::size_t>(state.range(0)) << 10;
+void fig6_region(std::size_t region) {
   const std::uint64_t ops = bench::micro_ops(4000);
   const std::string x = util::fmt_bytes(region);
   const auto op = verbs::Opcode::kWrite;
-  double ss = 0, sr = 0, rs = 0, rr = 0;
-  for (auto _ : state) {
-    ss = pattern_mops("d:region", "seq-seq", x, op, false, false, region, 32,
-                      ops);
-    sr = pattern_mops("d:region", "seq-rand", x, op, false, true, region, 32,
-                      ops);
-    rs = pattern_mops("d:region", "rand-seq", x, op, true, false, region, 32,
-                      ops);
-    rr = pattern_mops("d:region", "rand-rand", x, op, true, true, region, 32,
-                      ops);
-    state.SetIterationTime(1e-3);
-  }
-  state.counters["seq_seq"] = ss;
-  state.counters["rand_rand"] = rr;
+  const double ss = pattern_mops("d:region", "seq-seq", x, op, false, false,
+                                 region, 32, ops);
+  const double sr = pattern_mops("d:region", "seq-rand", x, op, false, true,
+                                 region, 32, ops);
+  const double rs = pattern_mops("d:region", "rand-seq", x, op, true, false,
+                                 region, 32, ops);
+  const double rr = pattern_mops("d:region", "rand-rand", x, op, true, true,
+                                 region, 32, ops);
   collector.add({"d:region", util::fmt_bytes(region), util::fmt(ss),
                  util::fmt(sr), util::fmt(rs), util::fmt(rr)});
 }
 
-BENCHMARK(BM_fig6a_read)
-    ->Arg(1)->Arg(8)->Arg(64)->Arg(512)->Arg(2048)->Arg(8192)
-    ->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_fig6b_write)
-    ->Arg(1)->Arg(8)->Arg(64)->Arg(512)->Arg(2048)->Arg(8192)
-    ->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_fig6c_local)
-    ->Arg(8)->Arg(64)->Arg(512)->Arg(4096)
-    ->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
-// Region sizes in KB: 4K, 4M, 16M, 64M, 256M, 1G.
-BENCHMARK(BM_fig6d_region)
-    ->Arg(4)->Arg(4096)->Arg(16384)->Arg(65536)->Arg(262144)->Arg(1048576)
-    ->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
+void sweep() {
+  for (const std::uint32_t size : {1, 8, 64, 512, 2048, 8192})
+    fig6_remote(verbs::Opcode::kRead, "a:read", size);
+  for (const std::uint32_t size : {1, 8, 64, 512, 2048, 8192})
+    fig6_remote(verbs::Opcode::kWrite, "b:write", size);
+  for (const std::uint32_t size : {8, 64, 512, 4096}) fig6_local(size);
+  // Region sizes in KB: 4K, 4M, 16M, 64M, 256M, 1G.
+  for (const std::size_t kb : {4, 4096, 16384, 65536, 262144, 1048576})
+    fig6_region(kb << 10);
+}
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+RDMASEM_BENCH_MAIN(sweep, collector)

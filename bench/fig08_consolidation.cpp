@@ -67,31 +67,25 @@ double consolidated_mops(std::uint32_t theta, std::uint64_t ops) {
 
 double g_native = 0;
 
-void BM_fig8(benchmark::State& state) {
-  const auto theta = static_cast<std::uint32_t>(state.range(0));
+// theta == 0: native writes, the baseline every later row is relative to.
+void fig8(std::uint32_t theta) {
   const std::uint64_t ops = bench::micro_ops(6000);
   double mops = 0;
-  for (auto _ : state) {
-    if (theta == 0) {
-      mops = native_mops(ops);
-      g_native = mops;
-    } else {
-      mops = consolidated_mops(theta, ops);
-    }
-    state.SetIterationTime(1e-3);
+  if (theta == 0) {
+    mops = native_mops(ops);
+    g_native = mops;
+  } else {
+    mops = consolidated_mops(theta, ops);
   }
-  state.counters["MOPS"] = mops;
   const double speedup = g_native > 0 ? mops / g_native : 0;
   collector.add({theta == 0 ? "native" : std::to_string(theta),
                  util::fmt(mops), util::fmt(speedup)});
 }
 
-BENCHMARK(BM_fig8)
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+void sweep() {
+  for (const std::uint32_t theta : {0, 1, 2, 4, 8, 16}) fig8(theta);
+}
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+RDMASEM_BENCH_MAIN(sweep, collector)

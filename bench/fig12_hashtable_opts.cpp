@@ -58,29 +58,19 @@ double run_config(std::uint32_t fes, bool numa, bool consolidate,
          sim::to_us(end);
 }
 
-void BM_fig12(benchmark::State& state) {
-  const auto fes = static_cast<std::uint32_t>(state.range(0));
-  double basic = 0, numa = 0, r4 = 0, r16 = 0;
-  for (auto _ : state) {
-    basic = run_config(fes, false, false, 16);
-    numa = run_config(fes, true, false, 16);
-    r4 = run_config(fes, true, true, 4);
-    r16 = run_config(fes, true, true, 16);
-    state.SetIterationTime(1e-3);
-  }
-  state.counters["basic_MOPS"] = basic;
-  state.counters["numa_MOPS"] = numa;
-  state.counters["reorder16_MOPS"] = r16;
+void fig12(std::uint32_t fes) {
+  const double basic = run_config(fes, false, false, 16);
+  const double numa = run_config(fes, true, false, 16);
+  const double r4 = run_config(fes, true, true, 4);
+  const double r16 = run_config(fes, true, true, 16);
   collector.add({std::to_string(fes), util::fmt(basic), util::fmt(numa),
                  util::fmt(r4), util::fmt(r16)});
 }
 
-BENCHMARK(BM_fig12)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(6)->Arg(8)->Arg(10)->Arg(12)->Arg(14)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+void sweep() {
+  for (const std::uint32_t fes : {1, 2, 4, 6, 8, 10, 12, 14}) fig12(fes);
+}
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+RDMASEM_BENCH_MAIN(sweep, collector)

@@ -33,28 +33,20 @@ double run_log(std::uint32_t engines, std::uint32_t batch, bool numa) {
   return r.mops;
 }
 
-void BM_fig19(benchmark::State& state) {
-  const auto batch = static_cast<std::uint32_t>(state.range(0));
+void fig19(std::uint32_t batch) {
   double v[6] = {};
   const std::uint32_t engines[3] = {4, 7, 14};
-  for (auto _ : state) {
-    for (int i = 0; i < 3; ++i) v[i] = run_log(engines[i], batch, false);
-    for (int i = 0; i < 3; ++i) v[3 + i] = run_log(engines[i], batch, true);
-    state.SetIterationTime(1e-3);
-  }
-  state.counters["eng7_numa_MOPS"] = v[4];
-  state.counters["eng14_numa_MOPS"] = v[5];
+  for (int i = 0; i < 3; ++i) v[i] = run_log(engines[i], batch, false);
+  for (int i = 0; i < 3; ++i) v[3 + i] = run_log(engines[i], batch, true);
   collector.add({std::to_string(batch), util::fmt(v[0]), util::fmt(v[1]),
                  util::fmt(v[2]), util::fmt(v[3]), util::fmt(v[4]),
                  util::fmt(v[5])});
 }
 
-BENCHMARK(BM_fig19)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+void sweep() {
+  for (const std::uint32_t batch : {1, 2, 4, 8, 16, 32}) fig19(batch);
+}
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+RDMASEM_BENCH_MAIN(sweep, collector)

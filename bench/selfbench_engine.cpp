@@ -199,6 +199,14 @@ double secs_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+// Optimization barrier: `v` becomes an input of an empty asm statement, so
+// the compiler must compute it and cannot drop the work that produced it.
+// "r,m" lets a small value stay in a register.
+template <typename T>
+[[gnu::always_inline]] inline void keep(const T& v) {
+  asm volatile("" : : "r,m"(v) : "memory");
+}
+
 // An in-run ratio gate compares two sides timed on the same host. Timing
 // each side best-of-N in two separate blocks lets a noisy stretch land on
 // one side only; instead the sides alternate in kRatioPairs (fast, legacy)
@@ -270,7 +278,7 @@ struct Actor {
     }
     const std::uint64_t pad0 = rng, pad1 = r;
     eng->schedule_in(d, [this, pad0, pad1] {
-      benchmark::DoNotOptimize(pad0 + pad1);
+      keep(pad0 + pad1);
       fire();
     });
   }
@@ -376,7 +384,7 @@ double datapath_mwrs_per_sec() {
       return wl::make_write(*l, off, *r, off, 8 << 10);
     };
     const wl::BenchResult res = wl::run_closed_loop(rig.rig.eng, spec);
-    benchmark::DoNotOptimize(res.errors);
+    keep(res.errors);
     mwrs = static_cast<double>(ops * rig.qps.size()) / secs_since(w0) / 1e6;
   }
   return mwrs;
@@ -423,16 +431,15 @@ std::uint64_t datapath_steady_allocs() {
   return delta;
 }
 
-double add(const char* workload, const char* engine, double mev) {
+void add(const char* workload, const char* engine, double mev) {
   collector.add({workload, engine, util::fmt(mev)});
   bench::point_mops(workload, engine, mev);
-  return mev;
 }
 
 // A workload row plus its anchor, as anchor/<workload>/<engine>.
-double add(const char* workload, const char* engine, const Anchored& a) {
+void add(const char* workload, const char* engine, const Anchored& a) {
   bench::point_mops("anchor", std::string(workload) + "/" + engine, a.anchor);
-  return add(workload, engine, a.best);
+  add(workload, engine, a.best);
 }
 
 // Records a paired ratio: its median as the gated speedup/<name> point,
@@ -446,78 +453,53 @@ void add_ratio(const std::string& name, const char* label,
                       r.ratios[i]);
 }
 
-void BM_selfbench(benchmark::State& state) {
-  double legacy_mev = 0, calendar_mev = 0, coro_mev = 0;
-  double micro_mev = 0, shuffle_mev = 0, dp_mwrs = 0;
-  PairedRatio dispatch;
-  std::uint64_t dp_allocs = 0;
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
+void selfbench() {
+  const PairedRatio dispatch = paired_ratio(
+      [] { return dispatch_mevents_per_sec<sim::Engine>(dispatch_budget()); },
+      [] {
+        return dispatch_mevents_per_sec<legacy::Engine>(dispatch_budget());
+      });
+  add("dispatch", "legacy", dispatch.legacy_best);
+  add("dispatch", "calendar", dispatch.fast_best);
+  add_ratio("dispatch", "calendar/legacy (median pair)", dispatch);
 
-    dispatch = paired_ratio(
-        [] {
-          return dispatch_mevents_per_sec<sim::Engine>(dispatch_budget());
-        },
-        [] {
-          return dispatch_mevents_per_sec<legacy::Engine>(dispatch_budget());
-        });
-    legacy_mev = add("dispatch", "legacy", dispatch.legacy_best);
-    calendar_mev = add("dispatch", "calendar", dispatch.fast_best);
-    add_ratio("dispatch", "calendar/legacy (median pair)", dispatch);
+  add("coro", "calendar", anchored_best_of(3, [] {
+    return coro_mevents_per_sec(coro_tasks(), coro_hops());
+  }));
 
-    coro_mev = add("coro", "calendar", anchored_best_of(3, [] {
-      return coro_mevents_per_sec(coro_tasks(), coro_hops());
-    }));
+  add("e2e_micro", "calendar", anchored_best_of(2, [] {
+    // fig01-style closed-loop write microbench, timed end to end.
+    const auto w0 = std::chrono::steady_clock::now();
+    MicroRig rig(1 << 14, 1 << 14, 4);
+    rig.run(wl::make_write(*rig.lmr, 0, *rig.rmr, 0, 64), 16,
+            bench::micro_ops(4000));
+    return static_cast<double>(rig.rig.eng.events_processed()) /
+           secs_since(w0) / 1e6;
+  }));
+  add("datapath", "fast", anchored_best_of(9, datapath_mwrs_per_sec));
+  const std::uint64_t dp_allocs = datapath_steady_allocs();
+  bench::point_mops("datapath_allocs", "steady",
+                    static_cast<double>(dp_allocs));
+  collector.add({"datapath_allocs", "steady (512 seq + 512 thrash WRs)",
+                 std::to_string(dp_allocs)});
 
-    micro_mev = add("e2e_micro", "calendar", anchored_best_of(2, [] {
-      // fig01-style closed-loop write microbench, timed end to end.
-      const auto w0 = std::chrono::steady_clock::now();
-      MicroRig rig(1 << 14, 1 << 14, 4);
-      rig.run(wl::make_write(*rig.lmr, 0, *rig.rmr, 0, 64), 16,
-              bench::micro_ops(4000));
-      return static_cast<double>(rig.rig.eng.events_processed()) /
-             secs_since(w0) / 1e6;
-    }));
-    dp_mwrs = add("datapath", "fast",
-                  anchored_best_of(9, datapath_mwrs_per_sec));
-    dp_allocs = datapath_steady_allocs();
-    bench::point_mops("datapath_allocs", "steady",
-                      static_cast<double>(dp_allocs));
-    collector.add({"datapath_allocs", "steady (512 seq + 512 thrash WRs)",
-                   std::to_string(dp_allocs)});
-
-    shuffle_mev = add("e2e_shuffle", "calendar", anchored_best_of(2, [] {
-      // fig15-style small all-to-all shuffle, timed end to end.
-      const auto w0 = std::chrono::steady_clock::now();
-      wl::Rig rig(hw::ModelParams::connectx3_cluster());
-      apps::shuffle::Config cfg;
-      cfg.machines = 4;
-      cfg.executors = 4;
-      cfg.entries_per_executor =
-          util::env_u64("RDMASEM_SHUFFLE_ENTRIES", 6000);
-      cfg.batch = apps::shuffle::BatchMode::kSgl;
-      apps::shuffle::Shuffle shuffle(rig.contexts(), cfg);
-      shuffle.run();
-      bench::absorb(rig.cluster);
-      return static_cast<double>(rig.eng.events_processed()) /
-             secs_since(w0) / 1e6;
-    }));
-
-    state.SetIterationTime(secs_since(t0));
-  }
-  state.counters["legacy_Mev"] = legacy_mev;
-  state.counters["calendar_Mev"] = calendar_mev;
-  state.counters["speedup"] = dispatch.median;
-  state.counters["coro_Mev"] = coro_mev;
-  state.counters["e2e_micro_Mev"] = micro_mev;
-  state.counters["e2e_shuffle_Mev"] = shuffle_mev;
-  state.counters["datapath_fast_MWRs"] = dp_mwrs;
-  state.counters["datapath_steady_allocs"] = static_cast<double>(dp_allocs);
+  add("e2e_shuffle", "calendar", anchored_best_of(2, [] {
+    // fig15-style small all-to-all shuffle, timed end to end.
+    const auto w0 = std::chrono::steady_clock::now();
+    wl::Rig rig(hw::ModelParams::connectx3_cluster());
+    apps::shuffle::Config cfg;
+    cfg.machines = 4;
+    cfg.executors = 4;
+    cfg.entries_per_executor = util::env_u64("RDMASEM_SHUFFLE_ENTRIES", 6000);
+    cfg.batch = apps::shuffle::BatchMode::kSgl;
+    apps::shuffle::Shuffle shuffle(rig.contexts(), cfg);
+    shuffle.run();
+    bench::absorb(rig.cluster);
+    return static_cast<double>(rig.eng.events_processed()) /
+           secs_since(w0) / 1e6;
+  }));
 }
-
-BENCHMARK(BM_selfbench)->UseManualTime()->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+RDMASEM_BENCH_MAIN(selfbench, collector)

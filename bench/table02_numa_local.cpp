@@ -16,33 +16,26 @@ FigureCollector collector(
     "Table II  Local vs remote socket DRAM (MLC-style)",
     {"type", "latency_ns", "bandwidth_GBps"});
 
-void BM_table2(benchmark::State& state) {
-  const bool remote = state.range(0) != 0;
+void table2(bool remote) {
   hw::ModelParams p;
   hw::DramModel dram(p);
-  double lat = 0, bw = 0;
-  for (auto _ : state) {
-    lat = sim::to_ns(dram.idle_latency(!remote));
-    // Streaming bandwidth: time N MB of sequential traffic.
-    const std::size_t chunk = 1 << 20;
-    const int chunks = 64;
-    sim::Duration total = 0;
-    for (int i = 0; i < chunks; ++i) total += dram.stream(chunk, !remote);
-    bw = static_cast<double>(chunk) * chunks / sim::to_sec(total) / 1e9;
-    state.SetIterationTime(sim::to_sec(total));
-  }
-  state.counters["latency_ns"] = lat;
-  state.counters["bandwidth_GBps"] = bw;
+  const double lat = sim::to_ns(dram.idle_latency(!remote));
+  // Streaming bandwidth: time N MB of sequential traffic.
+  const std::size_t chunk = 1 << 20;
+  const int chunks = 64;
+  sim::Duration total = 0;
+  for (int i = 0; i < chunks; ++i) total += dram.stream(chunk, !remote);
+  const double bw =
+      static_cast<double>(chunk) * chunks / sim::to_sec(total) / 1e9;
   collector.add({remote ? "remote socket" : "local socket",
                  util::fmt(lat, 0), util::fmt(bw)});
 }
 
-BENCHMARK(BM_table2)
-    ->Arg(0)->Arg(1)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+void sweep() {
+  table2(false);
+  table2(true);
+}
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+RDMASEM_BENCH_MAIN(sweep, collector)

@@ -9,9 +9,10 @@
 #
 # The env knobs below override every RDMASEM_* workload size (README) so
 # the whole battery stays in CI-smoke territory; the figures these runs
-# produce are NOT paper-comparable. They prove each binary runs to
-# completion, reports well-formed structured output, and produces the
-# same bytes as when its digest was pinned. Tracing and profiling add
+# produce are NOT paper-comparable. They prove each binary rejects an
+# unknown argument without writing a report, runs to completion, reports
+# well-formed structured output, and produces the same bytes as when its
+# digest was pinned. Tracing and profiling add
 # report sections, and the fig06 region knob changes the sweep, so they
 # are unset for the run.
 
@@ -26,6 +27,19 @@ endforeach()
 get_filename_component(name "${BENCH}" NAME)
 file(MAKE_DIRECTORY "${OUT}")
 file(REMOVE "${OUT}/BENCH_${name}.json")
+
+# The binaries take no arguments: an unknown one must fail before any
+# point runs, and must not leave a (partial) report behind.
+execute_process(
+  COMMAND "${CMAKE_COMMAND}" -E env "RDMASEM_BENCH_OUT=${OUT}"
+          "${BENCH}" --no-such-argument
+  RESULT_VARIABLE bad_rc OUTPUT_QUIET ERROR_QUIET)
+if(bad_rc EQUAL 0)
+  message(FATAL_ERROR "${name} accepted an unknown argument")
+endif()
+if(EXISTS "${OUT}/BENCH_${name}.json")
+  message(FATAL_ERROR "${name} wrote a report despite a bad argument")
+endif()
 
 execute_process(
   COMMAND "${CMAKE_COMMAND}" -E env
@@ -46,7 +60,7 @@ execute_process(
           RDMASEM_SELFBENCH_ACTORS=512
           RDMASEM_SELFBENCH_TASKS=800
           RDMASEM_SELFBENCH_HOPS=8
-          "${BENCH}" --benchmark_min_time=0.01
+          "${BENCH}"
   RESULT_VARIABLE run_rc)
 if(NOT run_rc EQUAL 0)
   message(FATAL_ERROR "${name} exited with ${run_rc}")

@@ -7,11 +7,11 @@ the exact-picosecond reconciliation status, read from the
 "resource_waits" / "critical_path" sections of BENCH_<name>.json files.
 
 Plane 2 (host time): engine dispatch totals (events, inline grants,
-dispatch time, host ns per event), read from an
-ENGINE_PROFILE.json (or the "engine_profile" section of a bench report).
+dispatch time, host ns per event), read from the "engine_profile" section
+of the same reports.
 
 Usage:
-  obs_report.py [--engine-profile PATH] [--top N] [BENCH_foo.json ...]
+  obs_report.py [--top N] BENCH_foo.json [...]
 
 Exits non-zero when a report is malformed or a critical path fails to
 reconcile. Stdlib only.
@@ -102,15 +102,10 @@ def main(argv):
     ap = argparse.ArgumentParser(
         description=__doc__, add_help=True,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("reports", nargs="*", metavar="BENCH_foo.json")
-    ap.add_argument("--engine-profile", metavar="PATH",
-                    help="standalone ENGINE_PROFILE.json to render")
+    ap.add_argument("reports", nargs="+", metavar="BENCH_foo.json")
     ap.add_argument("--top", type=int, default=12,
                     help="rows per bottleneck table (default 12)")
     args = ap.parse_args(argv[1:])
-    if not args.reports and not args.engine_profile:
-        ap.error("nothing to report on (no bench reports, no "
-                 "--engine-profile)")
 
     rendered = 0
     for path in args.reports:
@@ -135,15 +130,6 @@ def main(argv):
         if not (rw or cp or ep):
             print(f"{name}: no profiler sections (run with RDMASEM_TRACE=1 "
                   "and/or RDMASEM_PROF=1)")
-
-    if args.engine_profile:
-        try:
-            with open(args.engine_profile, encoding="utf-8") as f:
-                ep = json.load(f)
-        except (OSError, ValueError) as e:
-            die(f"{args.engine_profile}: {e}")
-        report_engine_profile(args.engine_profile, ep)
-        rendered += 1
 
     if rendered == 0:
         die("no profiler data found in any input")

@@ -23,8 +23,8 @@ class EngineProfileAccum {
 
   // Human table; empty string when nothing was absorbed.
   std::string render() const;
-  // ENGINE_PROFILE.json / the "engine_profile" bench-report section
-  // (schema "rdmasem-engine-profile-v2", scripts/check_bench_json.py).
+  // The "engine_profile" bench-report section (schema
+  // "rdmasem-engine-profile-v2", scripts/check_bench_json.py).
   std::string json() const;
 
  private:
